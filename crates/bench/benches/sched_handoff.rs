@@ -1,6 +1,6 @@
 //! Criterion bench for the scheduler hand-off: wall-clock cost of a
 //! simulated step (one event pop + one grant + one return) under the
-//! continuation, futex-baton and legacy-Condvar substrates.
+//! continuation and futex-baton substrates.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dsmpm2_sim::{Engine, EngineConfig, HandoffMode, SimTuning};
@@ -27,7 +27,6 @@ fn bench_handoff(c: &mut Criterion) {
             SimTuning::default().with_handoff(HandoffMode::Continuation),
         ),
         ("futex", SimTuning::baton()),
-        ("legacy_condvar", SimTuning::legacy()),
     ] {
         group.bench_with_input(
             BenchmarkId::new("10k_steps", label),

@@ -5,10 +5,10 @@
 //! one return per simulated step), so its cost is pure wall-clock overhead
 //! that scales every simulation. The measurement runs one simulated thread
 //! that yields `steps` times and divides the elapsed wall-clock time by the
-//! step count. Three substrates are measured: the continuation mode (the
+//! step count. Both substrates are measured: the continuation mode (the
 //! slice runs as a coroutine on the scheduler's own OS thread — two stack
-//! switches, no OS scheduling), the futex-style OS-thread baton (two futex
-//! wake-ups) and the legacy Mutex+Condvar baton.
+//! switches, no OS scheduling) and the futex-style OS-thread baton (two
+//! futex wake-ups).
 
 use std::time::Instant;
 
@@ -24,10 +24,6 @@ pub struct HandoffMeasurement {
     pub continuation_ns_per_step: f64,
     /// Best-of-trials wall-clock nanoseconds per step, futex baton.
     pub futex_ns_per_step: f64,
-    /// Best-of-trials wall-clock nanoseconds per step, legacy Condvar baton.
-    pub condvar_ns_per_step: f64,
-    /// `condvar_ns_per_step / futex_ns_per_step` (the PR 3 envelope).
-    pub speedup: f64,
     /// `futex_ns_per_step / continuation_ns_per_step` (the PR 6 envelope:
     /// how much cheaper a continuation grant is than an OS-thread baton).
     pub continuation_speedup: f64,
@@ -35,29 +31,17 @@ pub struct HandoffMeasurement {
     pub burst_threads: u64,
     /// Best-of-trials wall-clock nanoseconds per grant when wakes arrive in
     /// same-instant, same-shard bursts (`burst_threads` continuation
-    /// threads yielding in lockstep on one shard) — the regime of the solo
-    /// grant fast path, which batches the hand-off's phase-word atomics
-    /// across each burst.
+    /// threads yielding in lockstep on one shard), as after a barrier
+    /// release.
     pub burst_ns_per_grant: f64,
 }
 
-/// The fixed tunings the harness measures, by mode name.
-pub fn tuning_for(mode: HandoffMode) -> SimTuning {
-    match mode {
-        // Pin modes explicitly: SimTuning::default() honours DSM_SIM_HANDOFF
-        // and the benchmark must not silently measure the same mode twice.
-        HandoffMode::Continuation => SimTuning::default().with_handoff(HandoffMode::Continuation),
-        HandoffMode::Baton => SimTuning::baton(),
-        HandoffMode::LegacyCondvar => SimTuning::legacy(),
-    }
-}
-
 /// Wall-clock ns/step of one hand-off implementation (best of `trials`).
-pub fn measure_handoff_mode(tuning: SimTuning, steps: u64, trials: u32) -> f64 {
+pub fn measure_handoff_mode(mode: HandoffMode, steps: u64, trials: u32) -> f64 {
     let mut best = f64::INFINITY;
     for _ in 0..trials {
         let mut engine = Engine::with_config(EngineConfig {
-            tuning,
+            tuning: SimTuning::default().with_handoff(mode),
             ..EngineConfig::default()
         });
         engine.spawn("stepper", move |h| {
@@ -77,15 +61,13 @@ pub fn measure_handoff_mode(tuning: SimTuning, steps: u64, trials: u32) -> f64 {
 
 /// Wall-clock ns/grant of a same-instant, same-shard wake burst: `threads`
 /// continuation threads all yield in lockstep, so every instant the
-/// scheduler drains one burst of `threads` wakes back to back through one
-/// grant source — the path whose per-grant atomics the solo fast path
-/// batches away. Best of `trials`.
+/// scheduler drains one burst of `threads` wakes back to back. Best of
+/// `trials`.
 pub fn measure_handoff_burst(threads: u64, steps_per_thread: u64, trials: u32) -> f64 {
-    let tuning = tuning_for(HandoffMode::Continuation);
     let mut best = f64::INFINITY;
     for _ in 0..trials {
         let mut engine = Engine::with_config(EngineConfig {
-            tuning,
+            tuning: SimTuning::default().with_handoff(HandoffMode::Continuation),
             ..EngineConfig::default()
         });
         for t in 0..threads {
@@ -105,27 +87,20 @@ pub fn measure_handoff_burst(threads: u64, steps_per_thread: u64, trials: u32) -
     best
 }
 
-/// Measure all three hand-offs back to back (a warm-up trial of each runs
-/// first so none pays first-touch costs).
+/// Measure both hand-offs back to back (a warm-up trial of each runs first
+/// so neither pays first-touch costs).
 pub fn measure_handoff(steps: u64, trials: u32) -> HandoffMeasurement {
-    for mode in [
-        HandoffMode::Continuation,
-        HandoffMode::Baton,
-        HandoffMode::LegacyCondvar,
-    ] {
-        measure_handoff_mode(tuning_for(mode), steps / 4, 1);
+    for mode in [HandoffMode::Continuation, HandoffMode::Baton] {
+        measure_handoff_mode(mode, steps / 4, 1);
     }
-    let continuation = measure_handoff_mode(tuning_for(HandoffMode::Continuation), steps, trials);
-    let futex = measure_handoff_mode(tuning_for(HandoffMode::Baton), steps, trials);
-    let condvar = measure_handoff_mode(tuning_for(HandoffMode::LegacyCondvar), steps, trials);
+    let continuation = measure_handoff_mode(HandoffMode::Continuation, steps, trials);
+    let futex = measure_handoff_mode(HandoffMode::Baton, steps, trials);
     let burst_threads = 64u64;
     let burst = measure_handoff_burst(burst_threads, (steps / burst_threads).max(1), trials);
     HandoffMeasurement {
         steps,
         continuation_ns_per_step: continuation,
         futex_ns_per_step: futex,
-        condvar_ns_per_step: condvar,
-        speedup: condvar / futex,
         continuation_speedup: futex / continuation,
         burst_threads,
         burst_ns_per_grant: burst,

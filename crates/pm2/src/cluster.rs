@@ -86,8 +86,8 @@ impl Pm2Cluster {
             let c = cluster.clone();
             let rx = network.endpoint(node);
             // The dispatcher is bound to its node's shard: handler threads it
-            // spawns inherit the shard, so all of a node's activity stays on
-            // one scheduler worker.
+            // spawns inherit the shard, so all of a node's activity carries
+            // the node's key.
             engine.spawn_daemon_on(
                 node.index() as u64,
                 format!("pm2-dispatch-{node}"),

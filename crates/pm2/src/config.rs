@@ -143,13 +143,10 @@ pub struct Pm2Config {
     pub costs: Pm2Costs,
     /// DSM-layer tuning knobs (page-table sharding, message batching).
     pub dsm: DsmTuning,
-    /// Simulation-engine tuning knobs (hand-off substrate, spin budget,
-    /// scheduler workers). Consumers that build their own
-    /// [`dsmpm2_sim::Engine`] should construct it with these (the workload
-    /// runners do). The default hand-off is the continuation mode, overridable
-    /// process-wide with `DSM_SIM_HANDOFF=continuation|baton|legacy` — the
-    /// default [`SimTuning`] reads that variable, so it flows through this
-    /// field into every workload config without further plumbing.
+    /// Simulation-engine tuning knobs (the default hand-off substrate).
+    /// Consumers that build their own [`dsmpm2_sim::Engine`] should
+    /// construct it with these (the workload runners do). The default
+    /// hand-off is the continuation mode.
     pub sim: SimTuning,
     /// Transport-layer tuning knobs (wire-level backend selection): the
     /// default is the `Ideal` uncontended pipe of the paper's cost model.
@@ -230,11 +227,11 @@ mod tests {
     #[test]
     fn sim_tuning_flows_into_engine_config() {
         use dsmpm2_sim::HandoffMode;
-        let legacy = Pm2Config::bip_myrinet(2).with_sim_tuning(SimTuning::legacy());
-        assert_eq!(legacy.sim.handoff, HandoffMode::LegacyCondvar);
+        let default = Pm2Config::bip_myrinet(2);
+        assert_eq!(default.sim.handoff, HandoffMode::Continuation);
         assert_eq!(
-            legacy.engine_config().tuning.handoff,
-            HandoffMode::LegacyCondvar
+            default.engine_config().tuning.handoff,
+            HandoffMode::Continuation
         );
         let baton = Pm2Config::bip_myrinet(2).with_sim_tuning(SimTuning::baton());
         assert_eq!(baton.engine_config().tuning.handoff, HandoffMode::Baton);

@@ -177,8 +177,7 @@ impl<'a> Pm2Context<'a> {
         );
         // Re-home the thread onto the destination node's scheduler shard
         // *before* sleeping, so the post-migration wake-up (and everything
-        // the thread does afterwards) executes on the worker that owns the
-        // destination node's state.
+        // the thread does afterwards) carries the destination node's key.
         self.sim.set_shard(dest.index() as u64);
         self.sim.sleep(cost);
         *self.state.node.lock() = dest;

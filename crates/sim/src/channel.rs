@@ -163,26 +163,19 @@ impl<T: Send + 'static> SimSender<T> {
     }
 
     fn enqueue_at(&self, deliver_at: SimTime, value: T) {
-        // The whole enqueue is deferred to the canonical merge point when a
-        // parallel instant is executing (and runs immediately otherwise):
-        // the per-channel sequence number breaks ties between messages with
-        // equal delivery times, so it must be assigned in canonical event
-        // order, not in the wall-clock order two workers happened to race.
-        let inner = Arc::clone(&self.inner);
-        self.inner.ctl.defer_or_run(move |ctl| {
-            let seq = inner.seq.fetch_add(1, Ordering::SeqCst);
-            inner.in_flight.lock().push(Pending {
-                deliver_at: deliver_at.as_nanos(),
-                seq,
-                value,
-            });
-            // At delivery time, promote the message and wake one waiting
-            // receiver — on the receivers' shard.
-            let inner2 = Arc::clone(&inner);
-            ctl.call_at_on(inner.shard, deliver_at, move |ctl| {
-                inner2.promote(ctl.now());
-                inner2.waiters.notify_one(ctl, SimDuration::ZERO);
-            });
+        let inner = &self.inner;
+        let seq = inner.seq.fetch_add(1, Ordering::SeqCst);
+        inner.in_flight.lock().push(Pending {
+            deliver_at: deliver_at.as_nanos(),
+            seq,
+            value,
+        });
+        // At delivery time, promote the message and wake one waiting
+        // receiver — on the receivers' shard.
+        let inner2 = Arc::clone(inner);
+        inner.ctl.call_at_on(inner.shard, deliver_at, move |ctl| {
+            inner2.promote(ctl.now());
+            inner2.waiters.notify_one(ctl, SimDuration::ZERO);
         });
     }
 
@@ -233,10 +226,8 @@ impl<T: Send + 'static> SimReceiver<T> {
 /// two batches, never zero.
 ///
 /// Within a bucket, items are ordered by the canonical event order of their
-/// pushes (like [`crate::WaitSet`] waiters), not by wall-clock push order,
-/// so batches assembled from same-instant pushes racing across scheduler
-/// workers still drain deterministically. With one worker the two orders
-/// coincide.
+/// pushes (like [`crate::WaitSet`] waiters): the order of the events that
+/// made them, with pushes from outside any event last.
 pub struct TickOutbox<K, T> {
     pending: Mutex<HashMap<(K, u64), Bucket<T>>>,
 }

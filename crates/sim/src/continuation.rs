@@ -25,15 +25,20 @@
 //! calls [`coro_entry`]. `rbp` is seeded as zero so frame-pointer walkers
 //! stop at the stack boundary.
 //!
-//! ## Safety rules (enforced by the caller, `ThreadSlot`'s phase machine)
+//! ## Safety rules (enforced by the caller, `ThreadSlot` and the engine)
 //!
-//! * At most one OS thread resumes a given coroutine at a time, and never
-//!   while it is already running.
+//! * A started coroutine is only ever resumed on the OS thread running
+//!   `Engine::run`, and never while it is already running. Thread-locals
+//!   touched inside a slice (the engine's instant context, the parking-lot
+//!   shim's parker) may have their addresses cached across the switch, so
+//!   resuming on another OS thread would read and write the wrong thread's
+//!   slots.
 //! * A started coroutine must be driven to completion (normally, or by the
 //!   shutdown unwind during teardown) before it is dropped, so the
 //!   destructors of the frames parked on its stack run.
-//! * Captured state crosses OS threads between slices (a thread may migrate
-//!   between scheduler workers), which is why spawn closures are `Send`.
+//! * The body is built by whichever OS thread spawns the simulated thread
+//!   (setup code may run before, and on another thread than, `Engine::run`),
+//!   which is why spawn closures are `Send`.
 //!
 //! Panics never cross the switch: the slice body runs under
 //! `catch_unwind` *inside* the coroutine, and [`coro_entry`] adds a
@@ -146,9 +151,9 @@ mod arch {
 }
 
 /// A stackful coroutine: a private stack plus the saved stack pointers of
-/// the two sides of the switch. Owned by a `ThreadSlot`; all access is
-/// serialized by the slot's phase machine (exactly one resumer at a time,
-/// never concurrent with the coroutine itself).
+/// the two sides of the switch. Owned by a `ThreadSlot`; every resume
+/// happens on the scheduler thread (exactly one resumer at a time, never
+/// concurrent with the coroutine itself).
 pub(crate) struct Coro {
     /// Backing memory of the private stack. Allocated with uninitialized
     /// content on purpose: pages are committed only as the coroutine
@@ -171,10 +176,14 @@ pub(crate) struct Coro {
     done: bool,
 }
 
-// SAFETY: a Coro migrates between scheduler OS threads (whichever worker
-// owns the thread's shard resumes it), but is only ever *accessed* by the
-// single resumer the slot's phase machine admits, or by teardown after the
-// worker pool has quit. The body is `Send`; the raw stack is private memory.
+// SAFETY: a Coro may be created on one OS thread (the spawning setup code)
+// and moved to another, but it is only *resumed* on the OS thread running
+// `Engine::run`: the scheduler is the only granter, and teardown resumes
+// started coroutines on that same thread after the loop stopped. An engine
+// that never ran drops its coroutines unstarted, running no frames. So no
+// frame on the private stack ever executes on two OS threads, and moving
+// the not-yet-started body is sound because it is `Send`; the raw stack is
+// private memory.
 unsafe impl Send for Coro {}
 
 impl Coro {
@@ -227,9 +236,10 @@ impl Coro {
     /// resumed again.
     ///
     /// # Safety
-    /// The caller must hold exclusive execution rights (the slot phase
-    /// machine's `Granting`/`Running` window, or teardown after the worker
-    /// pool quit), and the coroutine must be suspended and not `done`.
+    /// The caller must hold exclusive execution rights (a scheduler grant,
+    /// or teardown after the scheduler loop stopped) on the OS thread that
+    /// resumed the coroutine before, if any, and the coroutine must be
+    /// suspended and not `done`.
     pub unsafe fn resume(&mut self) -> bool {
         debug_assert!(!self.done, "resumed a completed coroutine");
         // Seed the bootstrap frame lazily so it captures the Coro's settled

@@ -73,16 +73,16 @@ impl SimHandle {
     }
 
     /// The shard key this thread is currently bound to: all its wake-ups
-    /// execute on the worker owning that shard. Defaults to the key it was
-    /// spawned with (the spawner's shard, or the thread id).
+    /// carry that key. Defaults to the key it was spawned with (the
+    /// spawner's shard, or the thread id).
     pub fn shard(&self) -> u64 {
         self.slot.shard_key()
     }
 
     /// Re-home this thread onto shard `key`. Layers call this when a thread
     /// migrates between cluster nodes, *before* the migration's sleep, so
-    /// the post-migration wake-up already executes on the destination
-    /// node's worker.
+    /// the post-migration wake-up already carries the destination node's
+    /// key.
     pub fn set_shard(&mut self, key: u64) {
         self.slot.set_shard_key(key);
         crate::engine::set_instant_ctx_shard(key);

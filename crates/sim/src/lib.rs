@@ -3,17 +3,18 @@
 //! This crate provides the execution substrate on which the DSM-PM2
 //! reproduction runs. The original system executes on real clusters with the
 //! PM2 user-level thread package; here, "cluster nodes" and "PM2 threads" are
-//! simulated. By default a simulated thread is a *continuation* — a stackful
-//! coroutine whose slices execute inline on the scheduler's own OS thread,
-//! mirroring how Marcel multiplexes user-level threads onto a kernel thread —
-//! and control passes to exactly one simulated thread at a time, in the order
-//! dictated by a virtual-time event queue. Workloads that cannot run as
-//! continuations (deep recursion, very large stacks) can opt individual
-//! threads back onto a dedicated OS thread with a futex-style baton hand-off
-//! ([`SpawnOptions::baton`]), and the whole engine can be switched between
-//! the three hand-off substrates with [`SimTuning`] / `DSM_SIM_HANDOFF`.
-//! Every mode produces the same fully deterministic execution in *virtual
-//! time*, which is what the benchmark harness measures.
+//! simulated. One scheduler thread — the OS thread that calls
+//! [`Engine::run`] — pops events from a virtual-time queue and passes control
+//! to exactly one simulated thread at a time. By default a simulated thread
+//! is a *continuation*: a stackful coroutine whose slices execute on the
+//! scheduler thread itself, mirroring how Marcel multiplexes user-level
+//! threads onto a kernel thread. Threads that cannot run as continuations
+//! (deep recursion, very large stacks) opt onto a dedicated OS thread with a
+//! futex-style baton hand-off ([`SpawnOptions::baton`]), which is also the
+//! substrate of targets without a stack switch; [`SimTuning`] selects the
+//! default for a whole engine. Both substrates produce the same fully
+//! deterministic execution in *virtual time*, which is what the benchmark
+//! harness measures.
 //!
 //! ## Programming model
 //!

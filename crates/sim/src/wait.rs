@@ -12,13 +12,11 @@
 //! whichever hand-off implementation the engine was configured with
 //! ([`crate::SimTuning`]); nothing here depends on the baton's mechanics.
 //!
-//! Waiters are ordered by a *canonical key* — the global sequence number of
-//! the event whose execution registered them (plus an emission index within
-//! that event) — rather than by wall-clock registration order. With one
-//! scheduler worker the two orders coincide (events execute in sequence
-//! order), so this is exactly the historical FIFO; with several workers the
-//! canonical key keeps the pop order a pure function of the event order even
-//! when same-instant registrations race across workers.
+//! Waiters are ordered by a *canonical key* — the `(time, sequence number)`
+//! of the event whose execution registered them, plus an emission index
+//! within that event. Without a schedule controller events execute in
+//! exactly that order, so this is the registration FIFO; registrations
+//! made outside any event (setup code) sort last.
 
 use parking_lot::Mutex;
 

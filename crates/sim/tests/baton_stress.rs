@@ -1,19 +1,17 @@
 //! Stress test of the scheduler/thread hand-off: many short-lived simulated
 //! threads with pseudo-random sleeps, yields and nested spawns, run under
-//! every hand-off substrate. Continuations on the scheduler's OS thread, the
-//! futex-style OS-thread baton and the legacy Mutex+Condvar baton must
-//! produce *identical* runs — same final virtual time, same event and
-//! context-switch counts — because the hand-off is purely a wall-clock
-//! mechanism and must never influence simulated behaviour. A mixed-mode
-//! storm additionally pins individual threads onto the OS-thread batons via
-//! [`SpawnOptions`] while the engine default stays on continuations.
+//! both hand-off substrates. Continuations on the scheduler's OS thread and
+//! the futex-style OS-thread baton must produce *identical* runs — same
+//! final virtual time, same event and context-switch counts — because the
+//! hand-off is purely a wall-clock mechanism and must never influence
+//! simulated behaviour. A mixed-mode storm additionally pins individual
+//! threads onto the OS-thread baton via [`SpawnOptions`] while the engine
+//! default stays on continuations.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use dsmpm2_sim::{
-    Engine, EngineConfig, HandoffMode, RunReport, SimDuration, SimTuning, SpawnOptions, WaitSet,
-};
+use dsmpm2_sim::{Engine, EngineConfig, RunReport, SimDuration, SimTuning, SpawnOptions, WaitSet};
 
 /// Deterministic xorshift so both runs see the same "random" schedule.
 fn xorshift(state: &mut u64) -> u64 {
@@ -32,14 +30,10 @@ fn engine(tuning: SimTuning) -> Engine {
     })
 }
 
-/// All three engine-wide hand-off substrates, continuation first (the
-/// default and the comparison baseline).
-fn all_tunings() -> [SimTuning; 3] {
-    [
-        SimTuning::default(),
-        SimTuning::baton(),
-        SimTuning::legacy(),
-    ]
+/// Both engine-wide hand-off substrates, continuation first (the default
+/// and the comparison baseline).
+fn all_tunings() -> [SimTuning; 2] {
+    [SimTuning::default(), SimTuning::baton()]
 }
 
 fn storm(tuning: SimTuning, mixed: bool) -> (RunReport, u64) {
@@ -50,9 +44,8 @@ fn storm(tuning: SimTuning, mixed: bool) -> (RunReport, u64) {
     // eighth child spawns a grandchild. This exercises spawn-park races
     // (Created -> Parked while the scheduler waits), rapid re-grants and the
     // finished-thread reaper. In mixed mode every third child is pinned to
-    // the futex baton and every seventh to the legacy condvar, so
-    // continuation slices interleave with OS-thread hand-offs in the same
-    // run.
+    // the futex baton, so continuation slices interleave with OS-thread
+    // hand-offs in the same run.
     let wd = work_done.clone();
     engine.spawn("root", move |h| {
         let mut rng = 0x9E3779B97F4A7C15u64;
@@ -62,11 +55,6 @@ fn storm(tuning: SimTuning, mixed: bool) -> (RunReport, u64) {
                 let wd = wd.clone();
                 let opts = if mixed && child % 3 == 0 {
                     SpawnOptions::baton()
-                } else if mixed && child % 7 == 0 {
-                    SpawnOptions {
-                        handoff: Some(HandoffMode::LegacyCondvar),
-                        ..SpawnOptions::default()
-                    }
                 } else {
                     SpawnOptions::default()
                 };
@@ -100,25 +88,23 @@ fn storm(tuning: SimTuning, mixed: bool) -> (RunReport, u64) {
 fn thread_storm_is_identical_under_all_handoffs() {
     let (base, base_work) = storm(SimTuning::default(), false);
     assert!(base.threads_spawned > 500, "storm must actually spawn");
-    for tuning in [SimTuning::baton(), SimTuning::legacy()] {
-        let (run, work) = storm(tuning, false);
-        assert_eq!(base_work, work, "{tuning:?}: work count diverged");
-        assert_eq!(
-            base.final_time, run.final_time,
-            "{tuning:?}: virtual time diverged"
-        );
-        assert_eq!(base.events, run.events, "{tuning:?}: event count diverged");
-        assert_eq!(
-            base.context_switches, run.context_switches,
-            "{tuning:?}: context-switch count diverged"
-        );
-        assert_eq!(base.threads_spawned, run.threads_spawned);
-    }
+    let (run, work) = storm(SimTuning::baton(), false);
+    assert_eq!(base_work, work, "baton: work count diverged");
+    assert_eq!(
+        base.final_time, run.final_time,
+        "baton: virtual time diverged"
+    );
+    assert_eq!(base.events, run.events, "baton: event count diverged");
+    assert_eq!(
+        base.context_switches, run.context_switches,
+        "baton: context-switch count diverged"
+    );
+    assert_eq!(base.threads_spawned, run.threads_spawned);
 }
 
-/// The same storm with per-thread hand-off overrides: continuations,
-/// futex-baton threads and legacy-condvar threads coexisting in one engine
-/// must still produce the run the all-continuation engine produces.
+/// The same storm with per-thread hand-off overrides: continuations and
+/// futex-baton threads coexisting in one engine must still produce the run
+/// the all-continuation engine produces.
 #[test]
 fn mixed_mode_storm_matches_pure_continuation_run() {
     let (base, base_work) = storm(SimTuning::default(), false);
@@ -142,10 +128,7 @@ fn waitset_crowd_is_identical_under_all_handoffs() {
         let ws = Arc::new(WaitSet::new());
         let token = Arc::new(AtomicU64::new(0));
         // Completion virtual time per waiter, recorded into the waiter's own
-        // slot: a per-index log stays comparable even when several waiters
-        // complete at the same instant on different scheduler workers (a
-        // shared append-log's order at one instant is wall-clock, not part
-        // of the deterministic surface).
+        // slot.
         let done_at: Arc<Vec<AtomicU64>> = Arc::new((0..40).map(|_| AtomicU64::new(0)).collect());
         for i in 0..40u64 {
             let ws = ws.clone();
@@ -178,12 +161,10 @@ fn waitset_crowd_is_identical_under_all_handoffs() {
     };
     let (base, base_times) = run(SimTuning::default());
     assert!(base_times.iter().all(|&t| t > 0), "every waiter completed");
-    for tuning in [SimTuning::baton(), SimTuning::legacy()] {
-        let (r, times) = run(tuning);
-        assert_eq!(base_times, times, "{tuning:?}: wake times diverged");
-        assert_eq!(base.final_time, r.final_time, "{tuning:?}");
-        assert_eq!(base.events, r.events, "{tuning:?}");
-    }
+    let (r, times) = run(SimTuning::baton());
+    assert_eq!(base_times, times, "baton: wake times diverged");
+    assert_eq!(base.final_time, r.final_time, "baton");
+    assert_eq!(base.events, r.events, "baton");
 }
 
 /// Teardown under fire: a panic in one thread while hundreds of others are

@@ -4,8 +4,8 @@
 //! function of the recorded stream: the log is first canonicalized by a
 //! stable sort on `(virtual time, node)` — within one `(time, node)` group
 //! the append order is the engine's deterministic per-shard execution order
-//! — which makes the analysis bit-identical across worker counts and
-//! handoff modes even though the raw cross-node append interleaving is not.
+//! — which makes the analysis bit-identical across handoff modes and
+//! independent of how same-time events of different nodes interleave.
 //!
 //! Ordering edges:
 //!

@@ -43,13 +43,11 @@ pub enum Instrument {
 pub struct RunConfig {
     /// Default protocol name for every page.
     pub protocol: String,
-    /// Engine worker threads.
-    pub workers: usize,
-    /// Worker handoff mode.
+    /// Scheduler/thread handoff mode.
     pub handoff: HandoffMode,
     /// Wire-level transport selection.
     pub transport: TransportTuning,
-    /// Schedule controller (forces `workers == 1`).
+    /// Schedule controller.
     pub controller: Option<Arc<dyn ScheduleController>>,
     /// Event budget: exceeding it fails the run (livelock detector).
     pub max_events: u64,
@@ -62,7 +60,6 @@ impl RunConfig {
     pub fn plain(protocol: &str) -> Self {
         RunConfig {
             protocol: protocol.to_string(),
-            workers: 1,
             handoff: HandoffMode::Continuation,
             transport: TransportTuning::default(),
             controller: None,
@@ -182,9 +179,7 @@ pub fn run_scenario(scenario: &Scenario, cfg: &RunConfig) -> RunOutcome {
         .as_ref()
         .map(|h| install_global_verify_hooks(h.clone() as Arc<dyn dsmpm2_core::VerifyHooks>));
 
-    let tuning = SimTuning::default()
-        .with_workers(cfg.workers)
-        .with_handoff(cfg.handoff);
+    let tuning = SimTuning::default().with_handoff(cfg.handoff);
     let mut dsm = DsmTuning::default();
     if scenario.one_sided_reads {
         dsm = dsm.with_one_sided_reads();

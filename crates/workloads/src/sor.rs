@@ -79,7 +79,7 @@ pub struct SorResult {
     /// what the transport ablation compares across backends.
     pub wire: WireStatsSnapshot,
     /// Engine-level run report (events processed, context switches,
-    /// parallel scheduler rounds): what the `engine_scaling` bench reads.
+    /// threads spawned): the simulator-cost counters `dsm-bench` reports.
     pub engine: dsmpm2_sim::RunReport,
 }
 

@@ -398,14 +398,12 @@ fn conformance_matrix_sor() {
     }
 }
 
-/// The full matrix across all three scheduler hand-off substrates —
-/// continuations on the scheduler's OS thread (the default), the futex-style
-/// OS-thread baton, and the legacy Mutex+Condvar baton — at 1, 2 and 4
-/// scheduler workers. Every cell must be bit-identical to the
-/// continuation/1-worker run: final shared memory AND virtual completion
-/// time. The hand-off is a wall-clock mechanism only; how a simulated
-/// thread's slices reach a CPU must never leak into what the simulation
-/// computes.
+/// The full matrix across both scheduler hand-off substrates —
+/// continuations on the scheduler's OS thread (the default) and the
+/// futex-style OS-thread baton. Every baton cell must be bit-identical to
+/// the continuation run: final shared memory AND virtual completion time.
+/// The hand-off is a wall-clock mechanism only; how a simulated thread's
+/// slices reach a CPU must never leak into what the simulation computes.
 #[test]
 fn conformance_matrix_across_handoff_modes() {
     let jacobi = |nodes: usize, sim: SimTuning| JacobiConfig {
@@ -440,141 +438,42 @@ fn conformance_matrix_across_handoff_modes() {
     };
     use dsm_pm2::pm2::HandoffMode;
     assert_eq!(SimTuning::baton().handoff, HandoffMode::Baton);
-    assert_eq!(SimTuning::legacy().handoff, HandoffMode::LegacyCondvar);
-    // Pin the baseline mode explicitly: `SimTuning::default()` honours the
-    // `DSM_SIM_HANDOFF` override, and this matrix must compare fixed modes
-    // no matter what environment CI re-runs it under.
     let continuation = SimTuning::default().with_handoff(HandoffMode::Continuation);
-    let cells = |w: usize| {
-        [
-            continuation.with_workers(w),
-            SimTuning::baton().with_workers(w),
-            SimTuning::legacy().with_workers(w),
-        ]
-    };
+    let baton = SimTuning::baton();
     for proto in MATRIX_PROTOCOLS {
         for nodes in MATRIX_NODES {
-            let base_j = run_jacobi(&jacobi(nodes, continuation), proto);
-            let base_s = run_sor(&sor(nodes, continuation), proto);
-            let base_m = run_matmul(&matmul(nodes, continuation), proto);
-            for workers in [1usize, 2, 4] {
-                for sim in cells(workers) {
-                    if workers == 1 && sim.handoff == HandoffMode::Continuation {
-                        continue; // the baseline cell itself
-                    }
-                    let mode = sim.handoff;
+            let base = run_jacobi(&jacobi(nodes, continuation), proto);
+            let r = run_jacobi(&jacobi(nodes, baton), proto);
+            assert_eq!(
+                r.final_cells, base.final_cells,
+                "jacobi memory diverged under the baton x {proto} x {nodes} nodes"
+            );
+            assert_eq!(
+                r.elapsed, base.elapsed,
+                "jacobi virtual time diverged under the baton x {proto} x {nodes} nodes"
+            );
 
-                    let r = run_jacobi(&jacobi(nodes, sim), proto);
-                    assert_eq!(
-                        r.final_cells, base_j.final_cells,
-                        "jacobi memory diverged under {mode:?} x {workers} workers x {proto} x {nodes} nodes"
-                    );
-                    assert_eq!(
-                        r.elapsed, base_j.elapsed,
-                        "jacobi virtual time diverged under {mode:?} x {workers} workers x {proto} x {nodes} nodes"
-                    );
+            let base = run_sor(&sor(nodes, continuation), proto);
+            let r = run_sor(&sor(nodes, baton), proto);
+            assert_eq!(
+                r.final_cells, base.final_cells,
+                "sor memory diverged under the baton x {proto} x {nodes} nodes"
+            );
+            assert_eq!(
+                r.elapsed, base.elapsed,
+                "sor virtual time diverged under the baton x {proto} x {nodes} nodes"
+            );
 
-                    let r = run_sor(&sor(nodes, sim), proto);
-                    assert_eq!(
-                        r.final_cells, base_s.final_cells,
-                        "sor memory diverged under {mode:?} x {workers} workers x {proto} x {nodes} nodes"
-                    );
-                    assert_eq!(
-                        r.elapsed, base_s.elapsed,
-                        "sor virtual time diverged under {mode:?} x {workers} workers x {proto} x {nodes} nodes"
-                    );
-
-                    let r = run_matmul(&matmul(nodes, sim), proto);
-                    assert_eq!(
-                        r.final_cells, base_m.final_cells,
-                        "matmul memory diverged under {mode:?} x {workers} workers x {proto} x {nodes} nodes"
-                    );
-                    assert_eq!(
-                        r.elapsed, base_m.elapsed,
-                        "matmul virtual time diverged under {mode:?} x {workers} workers x {proto} x {nodes} nodes"
-                    );
-                }
-            }
-        }
-    }
-}
-
-/// The matrix across scheduler worker counts: every protocol × workload ×
-/// node-count cell runs on the 1-, 2- and 4-worker engine, and the 2- and
-/// 4-worker runs must be bit-identical to the 1-worker run — final shared
-/// memory AND virtual completion time. This is the safety net of the PR 5
-/// multi-worker engine: sharding the event queue and executing same-instant
-/// events of different nodes in parallel must never change what the
-/// simulation computes, only how fast the host computes it.
-#[test]
-fn conformance_matrix_across_worker_counts() {
-    let jacobi = |nodes: usize, sim: SimTuning| JacobiConfig {
-        size: 16,
-        iterations: 2,
-        nodes,
-        network: dsm_pm2::pm2::profiles::bip_myrinet(),
-        compute_per_cell_us: 0.02,
-        tuning: scale_out_tuning(),
-        sim,
-        transport: TransportTuning::default(),
-    };
-    let sor = |nodes: usize, sim: SimTuning| SorConfig {
-        size: 16,
-        iterations: 2,
-        omega: 1.25,
-        nodes,
-        network: dsm_pm2::pm2::profiles::bip_myrinet(),
-        compute_per_cell_us: 0.02,
-        tuning: scale_out_tuning(),
-        sim,
-        transport: TransportTuning::default(),
-    };
-    let matmul = |nodes: usize, sim: SimTuning| MatmulConfig {
-        n: 8,
-        nodes,
-        network: dsm_pm2::pm2::profiles::bip_myrinet(),
-        compute_per_madd_us: 0.01,
-        tuning: scale_out_tuning(),
-        sim,
-        transport: TransportTuning::default(),
-    };
-    let one = |w: usize| SimTuning::default().with_workers(w);
-    for proto in MATRIX_PROTOCOLS {
-        for nodes in [2usize, 4] {
-            let base_j = run_jacobi(&jacobi(nodes, one(1)), proto);
-            let base_s = run_sor(&sor(nodes, one(1)), proto);
-            let base_m = run_matmul(&matmul(nodes, one(1)), proto);
-            for workers in [2usize, 4] {
-                let r = run_jacobi(&jacobi(nodes, one(workers)), proto);
-                assert_eq!(
-                    r.final_cells, base_j.final_cells,
-                    "jacobi memory diverged at {workers} workers under {proto} x {nodes} nodes"
-                );
-                assert_eq!(
-                    r.elapsed, base_j.elapsed,
-                    "jacobi virtual time diverged at {workers} workers under {proto} x {nodes} nodes"
-                );
-
-                let r = run_sor(&sor(nodes, one(workers)), proto);
-                assert_eq!(
-                    r.final_cells, base_s.final_cells,
-                    "sor memory diverged at {workers} workers under {proto} x {nodes} nodes"
-                );
-                assert_eq!(
-                    r.elapsed, base_s.elapsed,
-                    "sor virtual time diverged at {workers} workers under {proto} x {nodes} nodes"
-                );
-
-                let r = run_matmul(&matmul(nodes, one(workers)), proto);
-                assert_eq!(
-                    r.final_cells, base_m.final_cells,
-                    "matmul memory diverged at {workers} workers under {proto} x {nodes} nodes"
-                );
-                assert_eq!(
-                    r.elapsed, base_m.elapsed,
-                    "matmul virtual time diverged at {workers} workers under {proto} x {nodes} nodes"
-                );
-            }
+            let base = run_matmul(&matmul(nodes, continuation), proto);
+            let r = run_matmul(&matmul(nodes, baton), proto);
+            assert_eq!(
+                r.final_cells, base.final_cells,
+                "matmul memory diverged under the baton x {proto} x {nodes} nodes"
+            );
+            assert_eq!(
+                r.elapsed, base.elapsed,
+                "matmul virtual time diverged under the baton x {proto} x {nodes} nodes"
+            );
         }
     }
 }

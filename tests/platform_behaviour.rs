@@ -185,26 +185,19 @@ fn post_mortem_monitor_reports_elementary_functions() {
     assert!(rendered.contains("dsm_page_fault"));
 }
 
-/// Regression (PR 3, extended to the PR 5 worker pool): a user-code panic
-/// while the thread holds the scheduler baton — mid-critical-section, with
-/// three other nodes blocked on the same lock and coherence traffic in
-/// flight — must surface as the run's error (carrying the panic message),
-/// release every other thread, join every scheduler worker, and never hang,
-/// under all three hand-off substrates (continuation, futex baton, legacy
-/// condvar) and with the 4-worker engine.
+/// Regression: a user-code panic while the thread holds the
+/// scheduler baton — mid-critical-section, with three other nodes blocked
+/// on the same lock and coherence traffic in flight — must surface as the
+/// run's error (carrying the panic message), release every other thread,
+/// and never hang, under both hand-off substrates (continuation and futex
+/// baton).
 #[test]
 fn panic_mid_critical_section_reclaims_baton_under_all_handoffs() {
     use dsm_pm2::core::{DsmAttr, DsmRuntime, HomePolicy};
     use dsm_pm2::pm2::{EngineConfig, SimError, SimTuning};
     use dsm_pm2::prelude::*;
 
-    for sim in [
-        SimTuning::default(),
-        SimTuning::baton(),
-        SimTuning::legacy(),
-        SimTuning::default().with_workers(4),
-        SimTuning::baton().with_workers(4),
-    ] {
+    for sim in [SimTuning::default(), SimTuning::baton()] {
         let engine = Engine::with_config(EngineConfig {
             tuning: sim,
             ..EngineConfig::default()
@@ -274,24 +267,22 @@ fn scheduler_call_panic_is_reported_and_torn_down() {
     }
 }
 
-/// The PR 3 scheduler-call panic regression on the PR 5 worker pool: the
-/// panicking callback fires at an instant where all four shards have events,
-/// so it executes *on a worker*, mid-parallel-round. The panic must become
-/// the run's error, all workers must be joined and every simulated thread
-/// torn down — reaching the match arm is the no-hang assertion.
+/// The scheduler-call panic regression above, at a crowded instant: the
+/// panicking callback fires at an instant where all four shards have events
+/// (the instant the retired worker pool ran as a parallel round), so the
+/// panic lands between same-instant wakes of other threads. The panic must
+/// become the run's error and every simulated thread must be torn down —
+/// reaching the match arm is the no-hang assertion.
 #[test]
 fn scheduler_call_panic_mid_parallel_round_is_reported_and_torn_down() {
-    use dsm_pm2::sim::{Engine, EngineConfig, SimDuration, SimError, SimTime, SimTuning};
+    use dsm_pm2::sim::{Engine, SimDuration, SimError, SimTime};
 
-    let mut engine = Engine::with_config(EngineConfig {
-        tuning: SimTuning::default().with_workers(4),
-        ..EngineConfig::default()
-    });
+    let mut engine = Engine::new();
     let ctl = engine.ctl();
     for shard in 0..4u64 {
         engine.spawn_on(shard, format!("sleeper{shard}"), |h| {
-            // Every shard has a wake at t = 10us, making that instant a
-            // parallel round; the panicking call below joins it on shard 2.
+            // Every shard has a wake at t = 10us; the panicking call below
+            // joins that instant on shard 2.
             h.sleep(SimDuration::from_micros(10));
             h.sleep(SimDuration::from_micros(500));
         });

@@ -7,8 +7,7 @@
 //!    uninstrumented run: same final memory, same final virtual time, same
 //!    event count, same per-thread observations.
 //! 2. **Detector determinism** — the race detector's verdict over a
-//!    scenario is identical across every handoff mode and worker count,
-//!    even though the raw cross-node log append order is not.
+//!    scenario is identical under both handoff modes.
 //! 3. **Replay fidelity** (property test) — feeding any decision path to a
 //!    [`ReplayController`], recording the clamped decisions it actually
 //!    took, and replaying those recorded decisions reproduces the run bit
@@ -52,9 +51,10 @@ fn instrumentation_is_invisible_to_the_simulation() {
 }
 
 /// The race detector's verdict is a pure function of the schedule, not of
-/// how the engine happened to execute it: every handoff mode and worker
-/// count must produce the identical sorted finding list (and the same
-/// positive verdict on the racy scenario).
+/// how the engine happened to execute it: both handoff modes must produce
+/// the identical sorted finding list (and the same positive verdict on the
+/// racy scenario). The name predates the retirement of the worker pool,
+/// whose worker-count dimension this test also covered.
 #[test]
 fn race_verdict_is_stable_across_workers_and_handoff_modes() {
     for (scn, protocol, expect_race) in [
@@ -63,39 +63,28 @@ fn race_verdict_is_stable_across_workers_and_handoff_modes() {
         (scenario::unsynced_pair(), "li_hudak", false),
     ] {
         let mut reference: Option<Vec<dsmpm2_verify::Finding>> = None;
-        for handoff in [
-            HandoffMode::Continuation,
-            HandoffMode::Baton,
-            HandoffMode::LegacyCondvar,
-        ] {
-            for workers in [1usize, 2, 4] {
-                let cfg = RunConfig {
-                    workers,
-                    handoff,
-                    instrument: Instrument::Record,
-                    ..RunConfig::plain(protocol)
-                };
-                let outcome = run_scenario(&scn, &cfg);
-                assert_eq!(
-                    outcome.error, None,
-                    "{protocol}/{} {handoff:?} x{workers}",
+        for handoff in [HandoffMode::Continuation, HandoffMode::Baton] {
+            let cfg = RunConfig {
+                handoff,
+                instrument: Instrument::Record,
+                ..RunConfig::plain(protocol)
+            };
+            let outcome = run_scenario(&scn, &cfg);
+            assert_eq!(outcome.error, None, "{protocol}/{} {handoff:?}", scn.name);
+            let findings = outcome.race_findings();
+            assert_eq!(
+                !findings.is_empty(),
+                expect_race,
+                "{protocol}/{} {handoff:?}: {findings:?}",
+                scn.name
+            );
+            match &reference {
+                None => reference = Some(findings),
+                Some(reference) => assert_eq!(
+                    &findings, reference,
+                    "{protocol}/{} {handoff:?}: verdict changed",
                     scn.name
-                );
-                let findings = outcome.race_findings();
-                assert_eq!(
-                    !findings.is_empty(),
-                    expect_race,
-                    "{protocol}/{} {handoff:?} x{workers}: {findings:?}",
-                    scn.name
-                );
-                match &reference {
-                    None => reference = Some(findings),
-                    Some(reference) => assert_eq!(
-                        &findings, reference,
-                        "{protocol}/{} {handoff:?} x{workers}: verdict changed",
-                        scn.name
-                    ),
-                }
+                ),
             }
         }
     }
