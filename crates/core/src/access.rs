@@ -12,18 +12,21 @@
 
 use crate::ctx::DsmThreadCtx;
 use crate::page::{Access, DsmAddr, PAGE_SIZE};
-use crate::protocol::FaultInfo;
-use crate::runtime::DsmRuntime;
+use crate::protocol::{FaultInfo, ProtocolId};
 
 /// Scalar types that can be stored in DSM memory.
 pub trait DsmScalar: Copy + Sized + Send + 'static {
-    /// Size of the value in bytes.
+    /// Size of the value in bytes; at most 8.
     const SIZE: usize;
     /// Serialize into little-endian bytes.
     fn store_le(self, out: &mut [u8]);
     /// Deserialize from little-endian bytes.
     fn load_le(buf: &[u8]) -> Self;
 }
+
+/// Largest [`DsmScalar::SIZE`]: the scalar accessors stage values in a stack
+/// buffer of this many bytes.
+const MAX_SCALAR_SIZE: usize = 8;
 
 macro_rules! impl_dsm_scalar {
     ($($t:ty),* $(,)?) => {
@@ -52,10 +55,11 @@ fn check_within_page(addr: DsmAddr, size: usize) {
 }
 
 impl DsmThreadCtx<'_, '_> {
-    /// Make sure the calling thread's node holds `needed` rights on the page
-    /// containing `addr`, taking page faults (and running the protocol's
+    /// Make sure the calling thread's node holds `needed` rights on the
+    /// coherence line containing `addr`, taking page faults (and running the protocol's
     /// fault handlers) as long as it does not. This is the access-detection
     /// loop: "on exiting the fault handler the thread repeats the access".
+    /// A granted write marks the line modified since the last release.
     pub fn ensure_access(&mut self, addr: DsmAddr, needed: Access) {
         self.ensure_access_sized(addr, 1, needed);
     }
@@ -63,32 +67,28 @@ impl DsmThreadCtx<'_, '_> {
     /// [`DsmThreadCtx::ensure_access`] for an access of `size` bytes: also
     /// checks that the access does not straddle a coherence-line boundary on
     /// sub-page-granularity regions (rights are per line, so a straddling
-    /// access would only be covered on its first line).
-    pub fn ensure_access_sized(&mut self, addr: DsmAddr, size: usize, needed: Access) {
-        let page = addr.page();
+    /// access would only be covered on its first line). Returns the protocol
+    /// managing the line.
+    pub fn ensure_access_sized(
+        &mut self,
+        addr: DsmAddr,
+        size: usize,
+        needed: Access,
+    ) -> ProtocolId {
         loop {
             let node = self.node();
-            let entry = self
-                .runtime()
+            let check = self
+                .runtime
                 .page_table(node)
-                .try_get_for_offset(page, addr.offset())
+                .check_access(addr, size, needed)
                 .unwrap_or_else(|| {
                     panic!("access at {addr} is outside every DSM allocation (node {node})")
                 });
-            if entry.line_size < PAGE_SIZE {
-                let (line_start, line_len) = entry.line_span();
-                assert!(
-                    addr.offset() + size <= line_start + line_len,
-                    "DSM access at {addr} of {size} bytes crosses a coherence-line boundary \
-                     (granularity {}); lay shared objects out so that scalars do not straddle lines",
-                    entry.line_size
-                );
-            }
-            if entry.access.permits(needed) {
-                return;
+            if check.granted {
+                return check.protocol;
             }
             // Page fault: charge the detection cost and run the handler.
-            let rt = self.runtime().clone();
+            let rt = self.runtime.clone();
             rt.cluster()
                 .monitor()
                 .record("dsm_page_fault", rt.costs().page_fault());
@@ -97,11 +97,11 @@ impl DsmThreadCtx<'_, '_> {
                 Access::Write => rt.stats().incr_write_fault(),
                 _ => rt.stats().incr_read_fault(),
             }
-            let protocol = rt.protocol(entry.protocol);
+            let protocol = rt.protocol(check.protocol);
             let fault = FaultInfo {
                 addr,
-                page,
-                line: entry.line,
+                page: addr.page(),
+                line: check.line,
                 access: needed,
             };
             if needed == Access::Write {
@@ -115,15 +115,16 @@ impl DsmThreadCtx<'_, '_> {
     }
 
     /// Charge the cost of one explicit inline locality check and report
-    /// whether the page containing `addr` is present locally with `needed`
-    /// rights (the `java_ic` / compiler-target access path).
+    /// whether the line containing `addr` is present locally with `needed`
+    /// rights (the `java_ic` / compiler-target access path). A granted write
+    /// marks the line modified since the last release.
     pub fn inline_check(&mut self, addr: DsmAddr, needed: Access) -> bool {
-        let rt = self.runtime().clone();
-        rt.stats().incr_inline_check();
-        self.pm2.sim.charge(rt.costs().inline_check());
-        rt.page_table(self.node())
-            .access(addr.page())
-            .permits(needed)
+        self.runtime.stats().incr_inline_check();
+        self.pm2.sim.charge(self.runtime.costs().inline_check());
+        self.runtime
+            .page_table(self.node())
+            .check_access(addr, 1, needed)
+            .is_some_and(|check| check.granted)
     }
 
     /// Read a scalar from shared memory (faulting as needed).
@@ -140,19 +141,9 @@ impl DsmThreadCtx<'_, '_> {
     /// across every registered protocol.
     pub fn write<T: DsmScalar>(&mut self, addr: DsmAddr, value: T) {
         check_within_page(addr, T::SIZE);
-        self.ensure_access_sized(addr, T::SIZE, Access::Write);
-        let record = self.page_records_writes(addr);
+        let protocol = self.ensure_access_sized(addr, T::SIZE, Access::Write);
+        let record = self.runtime.records_writes(protocol);
         self.write_local(addr, value, record);
-    }
-
-    /// Whether the protocol of the page holding `addr` records writes on the
-    /// fly. Reads the protocol id from the local (sharded) page table rather
-    /// than the cluster-wide directory, so concurrent writers on different
-    /// pages do not serialize on one global lock.
-    fn page_records_writes(&mut self, addr: DsmAddr) -> bool {
-        let rt = self.runtime().clone();
-        let protocol = rt.page_table(self.node()).read(addr.page(), |e| e.protocol);
-        rt.protocol(protocol).records_writes()
     }
 
     /// Write a scalar and record the modified range with field granularity
@@ -167,12 +158,7 @@ impl DsmThreadCtx<'_, '_> {
     pub fn read_bytes(&mut self, addr: DsmAddr, buf: &mut [u8]) {
         check_within_page(addr, buf.len());
         self.ensure_access_sized(addr, buf.len(), Access::Read);
-        let rt = self.runtime().clone();
-        let node = self.node();
-        rt.stats().incr_local_access();
-        self.pm2.sim.charge(rt.costs().local_access());
-        rt.frames(node).read(addr.page(), addr.offset(), buf);
-        self.report_access(&rt, addr, buf.len(), false);
+        self.read_local_bytes(addr, buf);
     }
 
     /// Write `bytes` to shared memory (must not cross a page). Recorded with
@@ -180,61 +166,59 @@ impl DsmThreadCtx<'_, '_> {
     /// (see [`DsmThreadCtx::write`]).
     pub fn write_bytes(&mut self, addr: DsmAddr, bytes: &[u8]) {
         check_within_page(addr, bytes.len());
-        self.ensure_access_sized(addr, bytes.len(), Access::Write);
-        let record = self.page_records_writes(addr);
-        let rt = self.runtime().clone();
-        let node = self.node();
-        rt.stats().incr_local_access();
-        self.pm2.sim.charge(rt.costs().local_access());
-        if record {
-            rt.frames(node)
-                .write_recorded(addr.page(), addr.offset(), bytes);
-        } else {
-            rt.frames(node).write(addr.page(), addr.offset(), bytes);
-        }
-        rt.page_table(node)
-            .mark_modified_at_offset(addr.page(), addr.offset());
-        self.report_access(&rt, addr, bytes.len(), true);
+        let protocol = self.ensure_access_sized(addr, bytes.len(), Access::Write);
+        let record = self.runtime.records_writes(protocol);
+        self.write_local_bytes(addr, bytes, record);
     }
 
     /// Read a scalar assuming rights are already held (no fault detection).
     /// Used by protocol code and by the inline-check access path after a
     /// successful check.
     pub fn read_local<T: DsmScalar>(&mut self, addr: DsmAddr) -> T {
-        let rt = self.runtime().clone();
-        let node = self.node();
-        rt.stats().incr_local_access();
-        self.pm2.sim.charge(rt.costs().local_access());
-        let mut buf = vec![0u8; T::SIZE];
-        rt.frames(node).read(addr.page(), addr.offset(), &mut buf);
-        self.report_access(&rt, addr, T::SIZE, false);
-        T::load_le(&buf)
+        let mut buf = [0u8; MAX_SCALAR_SIZE];
+        let buf = &mut buf[..T::SIZE];
+        self.read_local_bytes(addr, buf);
+        T::load_le(buf)
     }
 
-    /// Write a scalar assuming rights are already held.
+    /// Write a scalar assuming write rights are already held. The check that
+    /// granted them ([`DsmThreadCtx::ensure_access`] or
+    /// [`DsmThreadCtx::inline_check`]) marked the line modified.
     pub fn write_local<T: DsmScalar>(&mut self, addr: DsmAddr, value: T, record: bool) {
-        let rt = self.runtime().clone();
+        let mut buf = [0u8; MAX_SCALAR_SIZE];
+        let buf = &mut buf[..T::SIZE];
+        value.store_le(buf);
+        self.write_local_bytes(addr, buf, record);
+    }
+
+    fn read_local_bytes(&mut self, addr: DsmAddr, buf: &mut [u8]) {
         let node = self.node();
-        rt.stats().incr_local_access();
-        self.pm2.sim.charge(rt.costs().local_access());
-        let mut buf = vec![0u8; T::SIZE];
-        value.store_le(&mut buf);
+        self.runtime.stats().incr_local_access();
+        self.pm2.sim.charge(self.runtime.costs().local_access());
+        self.runtime
+            .frames(node)
+            .read(addr.page(), addr.offset(), buf);
+        self.report_access(addr, buf.len(), false);
+    }
+
+    fn write_local_bytes(&mut self, addr: DsmAddr, bytes: &[u8], record: bool) {
+        let node = self.node();
+        self.runtime.stats().incr_local_access();
+        self.pm2.sim.charge(self.runtime.costs().local_access());
+        let frames = self.runtime.frames(node);
         if record {
-            rt.frames(node)
-                .write_recorded(addr.page(), addr.offset(), &buf);
+            frames.write_recorded(addr.page(), addr.offset(), bytes);
         } else {
-            rt.frames(node).write(addr.page(), addr.offset(), &buf);
+            frames.write(addr.page(), addr.offset(), bytes);
         }
-        rt.page_table(node)
-            .mark_modified_at_offset(addr.page(), addr.offset());
-        self.report_access(&rt, addr, T::SIZE, true);
+        self.report_access(addr, bytes.len(), true);
     }
 
     /// Report an application-level access to the verify observer, if one is
     /// installed. The observer must charge no virtual time (see
     /// [`crate::VerifyHooks`]), so instrumented runs stay bit-identical.
-    fn report_access(&mut self, rt: &DsmRuntime, addr: DsmAddr, len: usize, is_write: bool) {
-        if let Some(hooks) = rt.hooks() {
+    fn report_access(&self, addr: DsmAddr, len: usize, is_write: bool) {
+        if let Some(hooks) = self.runtime.hooks() {
             let access = crate::verify::MemAccess {
                 time: self.pm2.sim.now(),
                 node: self.node(),
@@ -244,7 +228,7 @@ impl DsmThreadCtx<'_, '_> {
                 len,
                 is_write,
             };
-            hooks.mem_access(rt, access);
+            hooks.mem_access(&self.runtime, access);
         }
     }
 }

@@ -12,6 +12,7 @@ use parking_lot::Mutex;
 use dsmpm2_madeleine::NodeId;
 
 use crate::diff::PageDiff;
+use crate::fxhash::FxHashMap;
 use crate::page::{LineIx, PageId, PAGE_SIZE};
 
 /// A locally mapped page.
@@ -50,7 +51,7 @@ impl Frame {
 /// All frames held by one node.
 pub struct FrameStore {
     node: NodeId,
-    frames: Mutex<HashMap<PageId, Frame>>,
+    frames: Mutex<FxHashMap<PageId, Frame>>,
 }
 
 impl FrameStore {
@@ -58,7 +59,7 @@ impl FrameStore {
     pub fn new(node: NodeId) -> Self {
         FrameStore {
             node,
-            frames: Mutex::new(HashMap::new()),
+            frames: Mutex::new(FxHashMap::default()),
         }
     }
 

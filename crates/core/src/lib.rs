@@ -35,6 +35,7 @@ mod costs;
 mod ctx;
 mod diff;
 mod frames;
+mod fxhash;
 mod msg;
 pub mod mutant;
 mod page;

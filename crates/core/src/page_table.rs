@@ -30,7 +30,10 @@ use parking_lot::Mutex;
 use dsmpm2_madeleine::NodeId;
 use dsmpm2_sim::WaitSet;
 
-use crate::page::{line_of_offset, lines_per_page, Access, LineIx, PageId, LINE0, PAGE_SIZE};
+use crate::fxhash::FxHashMap;
+use crate::page::{
+    line_of_offset, line_range, lines_per_page, Access, DsmAddr, LineIx, PageId, LINE0, PAGE_SIZE,
+};
 use crate::protocol::ProtocolId;
 
 /// One page-table entry: the coherence state of one line of one page (the
@@ -139,18 +142,35 @@ impl PageEntry {
 /// shards never contend on the same lock — the page table was the single
 /// contended structure of every node once several dispatcher, handler and
 /// application threads ran concurrently. All lines of one page share a shard.
+///
+/// `entries` is read on every access and keyed with the Fx hasher. `waiters`
+/// is only touched on faults and stays on the standard hasher: keying it with
+/// Fx as well shifted the heap layout of a cluster bring-up so that glibc
+/// trimmed and regrew the service threads' stacks on every teardown, which
+/// made the `tsp_search` benchmark workload's `setup_s` about 45% slower.
 struct Shard {
-    entries: Mutex<HashMap<(PageId, LineIx), PageEntry>>,
+    entries: Mutex<FxHashMap<(PageId, LineIx), PageEntry>>,
     waiters: Mutex<HashMap<(PageId, LineIx), Arc<WaitSet>>>,
 }
 
 impl Shard {
     fn new() -> Self {
         Shard {
-            entries: Mutex::new(HashMap::new()),
+            entries: Mutex::new(FxHashMap::default()),
             waiters: Mutex::new(HashMap::new()),
         }
     }
+}
+
+/// What [`PageTable::check_access`] found for one access.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct AccessCheck {
+    /// Whether the local rights on the line permit the access.
+    pub(crate) granted: bool,
+    /// The coherence line containing the access.
+    pub(crate) line: LineIx,
+    /// The protocol managing that line.
+    pub(crate) protocol: ProtocolId,
 }
 
 /// Default shard count of a node's page table (overridable through
@@ -296,7 +316,7 @@ impl PageTable {
 
     /// A copy of the entry governing byte `offset` of `page`, or `None` if
     /// the page is unknown. Resolves the page's geometry and fetches the line
-    /// entry under a single shard lock — this is the per-access hot path.
+    /// entry under a single shard lock.
     pub fn try_get_for_offset(&self, page: PageId, offset: usize) -> Option<PageEntry> {
         let entries = self.shard(page).entries.lock();
         let first = entries.get(&(page, LINE0))?;
@@ -307,22 +327,47 @@ impl PageTable {
         entries.get(&(page, line)).cloned()
     }
 
-    /// Mark the line of `page` containing byte `offset` as modified since the
-    /// last release. Geometry resolution and the update share one shard lock.
-    pub fn mark_modified_at_offset(&self, page: PageId, offset: usize) {
-        let mut entries = self.shard(page).entries.lock();
-        let line_size = entries
-            .get(&(page, LINE0))
-            .unwrap_or_else(|| panic!("node {} has no page-table entry for {page}", self.node))
-            .line_size;
-        let line = if line_size == PAGE_SIZE {
-            LINE0
-        } else {
-            line_of_offset(offset, line_size)
+    /// The per-access hot path: under one shard lock, resolve the line
+    /// containing the `size` bytes at `addr`, check that the local rights
+    /// permit `needed`, and on a granted write mark the line modified since
+    /// the last release. Returns `None` if the page is unknown.
+    ///
+    /// # Panics
+    /// Panics if the access straddles a coherence-line boundary: rights are
+    /// per line, so a straddling access would only be covered on its first
+    /// line.
+    pub(crate) fn check_access(
+        &self,
+        addr: DsmAddr,
+        size: usize,
+        needed: Access,
+    ) -> Option<AccessCheck> {
+        let check = |entry: &mut PageEntry| {
+            let granted = entry.access.permits(needed);
+            if granted && needed == Access::Write {
+                entry.modified_since_release = true;
+            }
+            AccessCheck {
+                granted,
+                line: entry.line,
+                protocol: entry.protocol,
+            }
         };
-        if let Some(e) = entries.get_mut(&(page, line)) {
-            e.modified_since_release = true;
+        let (page, offset) = (addr.page(), addr.offset());
+        let mut entries = self.shard(page).entries.lock();
+        let first = entries.get_mut(&(page, LINE0))?;
+        let line_size = first.line_size;
+        if line_size == PAGE_SIZE {
+            return Some(check(first));
         }
+        let line = line_of_offset(offset, line_size);
+        let (line_start, line_len) = line_range(line, line_size);
+        assert!(
+            offset + size <= line_start + line_len,
+            "DSM access at {addr} of {size} bytes crosses a coherence-line boundary \
+             (granularity {line_size}); lay shared objects out so that scalars do not straddle lines"
+        );
+        entries.get_mut(&(page, line)).map(check)
     }
 
     /// Run `f` with shared access to the line-0 entry for `page`, without
@@ -632,8 +677,16 @@ mod tests {
         let e = t.try_get_for_offset(PageId(9), 0).unwrap();
         assert_eq!(e.line, LINE0);
 
-        // Line-targeted modification marking.
-        t.mark_modified_at_offset(PageId(9), 3 * line_size);
+        // The fused check resolves the line, and only a granted write marks
+        // it modified.
+        let addr = PageId(9).base().add(3 * line_size as u64);
+        let denied = t.check_access(addr, 8, Access::Write).unwrap();
+        assert_eq!((denied.granted, denied.line), (false, LineIx(3)));
+        assert_eq!(t.modified_units(), vec![(PageId(9), LineIx(2))]);
+        t.set_access_at(PageId(9), LineIx(3), Access::Write);
+        assert!(t.check_access(addr, 8, Access::Read).unwrap().granted);
+        assert_eq!(t.modified_units(), vec![(PageId(9), LineIx(2))]);
+        assert!(t.check_access(addr, 8, Access::Write).unwrap().granted);
         assert_eq!(
             t.modified_units(),
             vec![(PageId(9), LineIx(2)), (PageId(9), LineIx(3))]
@@ -667,5 +720,16 @@ mod tests {
         assert!(table().try_get(PageId(7)).is_some());
         assert!(table().try_get_for_offset(PageId(1000), 0).is_none());
         assert!(table().try_get_for_offset(PageId(7), 100).is_some());
+        assert!(table()
+            .check_access(PageId(1000).base(), 8, Access::Read)
+            .is_none());
+    }
+
+    #[test]
+    #[should_panic(expected = "crosses a coherence-line boundary")]
+    fn access_straddling_a_line_panics() {
+        let t = PageTable::new(NodeId(0));
+        t.ensure_lines(PageId(9), NodeId(0), ProtocolId(0), 1024);
+        t.check_access(PageId(9).base().add(1020), 8, Access::Read);
     }
 }

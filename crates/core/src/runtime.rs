@@ -273,6 +273,18 @@ impl DsmRuntime {
             .unwrap_or_else(|| panic!("unknown protocol {id}"))
     }
 
+    /// Whether protocol `id` records writes on the fly
+    /// ([`DsmProtocol::records_writes`]), looked up without cloning the
+    /// protocol handle (asked on every plain write).
+    pub fn records_writes(&self, id: ProtocolId) -> bool {
+        self.inner
+            .protocols
+            .read()
+            .get(id.0)
+            .unwrap_or_else(|| panic!("unknown protocol {id}"))
+            .records_writes()
+    }
+
     /// Find a registered protocol by name.
     pub fn protocol_by_name(&self, name: &str) -> Option<ProtocolId> {
         self.inner

@@ -26,6 +26,14 @@ pub struct OpStat {
 }
 
 impl OpStat {
+    fn add(&mut self, elapsed: SimDuration) {
+        self.count += 1;
+        self.total += elapsed;
+        if elapsed > self.max {
+            self.max = elapsed;
+        }
+    }
+
     /// Mean virtual time per occurrence (zero if the operation never ran).
     pub fn mean(&self) -> SimDuration {
         if self.count == 0 {
@@ -49,13 +57,12 @@ impl Monitor {
     }
 
     /// Record one occurrence of `name` taking `elapsed` of virtual time.
+    /// Allocates only the first time `name` is seen.
     pub fn record(&self, name: &str, elapsed: SimDuration) {
         let mut ops = self.ops.lock();
-        let stat = ops.entry(name.to_string()).or_default();
-        stat.count += 1;
-        stat.total += elapsed;
-        if elapsed > stat.max {
-            stat.max = elapsed;
+        match ops.get_mut(name) {
+            Some(stat) => stat.add(elapsed),
+            None => ops.entry(name.to_string()).or_default().add(elapsed),
         }
     }
 

@@ -296,18 +296,23 @@ mod tests {
         let state = rt.spawn_dsm_thread(NodeId(1), "roamer", move |ctx| {
             ctx.write::<u32>(addr, 5);
             assert_eq!(ctx.read::<u32>(addr), 5);
+            // After an explicit migration, accesses consult the destination
+            // node's table: node 1 holds no rights, so the read faults and
+            // the protocol drags the thread back to the data.
+            ctx.pm2.migrate_to(NodeId(1));
+            assert_eq!(ctx.read::<u32>(addr), 5);
             *f.lock() = ctx.node();
         });
         engine.run().unwrap();
         assert_eq!(*final_node.lock(), NodeId(0), "thread migrated to the data");
-        assert_eq!(state.migrations(), 1);
+        assert_eq!(state.migrations(), 3);
         let stats = rt.stats().snapshot();
         assert_eq!(stats.page_transfers, 0);
-        assert_eq!(stats.thread_migrations, 1);
+        assert_eq!(stats.thread_migrations, 2);
         assert_eq!(stats.write_faults, 1);
         assert_eq!(
-            stats.read_faults, 0,
-            "second access is local after migration"
+            stats.read_faults, 1,
+            "the read right after the write is local; only the read on node 1 faults"
         );
     }
 
@@ -327,6 +332,20 @@ mod tests {
             ctx.dsm_lock(lock);
             ctx.write::<u64>(addr, 99);
             ctx.dsm_unlock(lock); // eager RC: invalidate copies now
+
+            // The release cleared the modified flag; the owner keeps its
+            // write rights, so the next plain write is a hit that must set
+            // the flag again.
+            let rt = ctx.runtime().clone();
+            let modified = || {
+                rt.page_table(NodeId(0))
+                    .read(addr.page(), |e| e.modified_since_release)
+            };
+            assert!(!modified());
+            let write_faults = rt.stats().snapshot().write_faults;
+            ctx.write::<u64>(addr, 99);
+            assert_eq!(rt.stats().snapshot().write_faults, write_faults);
+            assert!(modified(), "a write hit marks the page modified");
             ctx.dsm_barrier(b);
         });
         let obs = observed.clone();
@@ -388,10 +407,14 @@ mod tests {
         let addr = rt.dsm_malloc(4096, DsmAttr::default().home(HomePolicy::Fixed(NodeId(0))));
         let monitor = rt.create_lock(Some(NodeId(0)));
         let b = rt.create_barrier(2, None);
-        let seen = StdArc::new(Mutex::new(0u32));
+        let seen = StdArc::new(Mutex::new((0u32, 0u32)));
 
         rt.spawn_dsm_thread(NodeId(1), "mutator", move |ctx| {
             ctx.dsm_lock(monitor);
+            // A plain write records its range too, since java_pf records
+            // writes on the fly; otherwise the home would never see it.
+            ctx.write::<u32>(addr.add(32), 5678);
+            assert!(ctx.runtime().frames(NodeId(1)).has_recorded(addr.page()));
             ctx.write_recorded::<u32>(addr.add(16), 1234);
             ctx.dsm_unlock(monitor);
             ctx.dsm_barrier(b);
@@ -400,12 +423,38 @@ mod tests {
         rt.spawn_dsm_thread(NodeId(0), "observer", move |ctx| {
             ctx.dsm_barrier(b);
             ctx.dsm_lock(monitor);
-            *s.lock() = ctx.read::<u32>(addr.add(16));
+            *s.lock() = (ctx.read::<u32>(addr.add(16)), ctx.read::<u32>(addr.add(32)));
             ctx.dsm_unlock(monitor);
         });
         engine.run().unwrap();
-        assert_eq!(*seen.lock(), 1234);
+        assert_eq!(*seen.lock(), (1234, 5678));
         assert!(rt.stats().snapshot().diffs_sent >= 1);
+    }
+
+    /// `inline_check` answers for the coherence line containing the address,
+    /// not for line 0 of its page.
+    #[test]
+    fn inline_check_reads_the_rights_of_the_addressed_line() {
+        let (mut engine, rt, builtins) = setup(2);
+        rt.set_default_protocol(builtins.hbrc_mw);
+        let line = 1024u64;
+        let addr = rt.dsm_malloc(
+            4096,
+            DsmAttr::default()
+                .home(HomePolicy::Fixed(NodeId(0)))
+                .granularity(line as usize),
+        );
+        let checks = StdArc::new(Mutex::new(Vec::new()));
+        let c = checks.clone();
+        rt.spawn_dsm_thread(NodeId(1), "checker", move |ctx| {
+            let in_line_2 = addr.add(2 * line + 8);
+            let _ = ctx.read::<u64>(in_line_2); // faults in line 2 only
+            c.lock().push(ctx.inline_check(in_line_2, Access::Read));
+            c.lock().push(ctx.inline_check(addr, Access::Read));
+        });
+        engine.run().unwrap();
+        assert_eq!(*checks.lock(), vec![true, false]);
+        assert_eq!(rt.page_table(NodeId(1)).lines_of(addr.page()), 4);
     }
 
     /// The hybrid protocol of §2.3: reads replicate, writes migrate the thread.
