@@ -632,9 +632,9 @@ impl DsmRuntime {
     }
 
     /// [`DsmRuntime::spawn_dsm_thread`] with explicit scheduler
-    /// [`SpawnOptions`] — the per-thread escape hatch onto the OS-thread
-    /// baton (or a bigger continuation stack) for bodies with deep
-    /// recursion, e.g. branch-and-bound searches.
+    /// [`SpawnOptions`]: a bigger private stack for bodies that recurse
+    /// deeper than the default 1 MiB carries, or the OS-thread baton for
+    /// one thread.
     pub fn spawn_dsm_thread_with<F>(
         &self,
         node: NodeId,

@@ -423,10 +423,10 @@ impl Pm2Cluster {
     }
 
     /// [`Pm2Cluster::spawn_thread_on`] with explicit scheduler
-    /// [`SpawnOptions`]: workloads whose thread bodies cannot run on a
-    /// fixed-size continuation stack (deep recursion) force the OS-thread
-    /// baton or a bigger private stack for exactly those threads, while the
-    /// rest of the simulation stays on continuations.
+    /// [`SpawnOptions`]: a bigger private stack for threads that recurse
+    /// deeper than the default carries, or the OS-thread baton for exactly
+    /// those threads, while the rest of the simulation stays on
+    /// continuations.
     pub fn spawn_thread_on_with<F>(
         &self,
         node: NodeId,

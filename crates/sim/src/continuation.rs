@@ -43,27 +43,211 @@
 //! Panics never cross the switch: the slice body runs under
 //! `catch_unwind` *inside* the coroutine, and [`coro_entry`] adds a
 //! belt-and-braces catch so no unwind can reach the bootstrap frame.
+//!
+//! ## The stack
+//!
+//! A private stack is an anonymous `mmap` whose lowest page is mapped
+//! `PROT_NONE` ([`Stack`]), the same layout an OS thread's stack has: a
+//! coroutine that runs off the low end faults on the guard page (SIGSEGV)
+//! instead of silently overwriting whatever lies below. Rust probes every
+//! frame larger than a page, so no frame can step over the guard. The
+//! kernel commits pages only as the coroutine grows into them. Finished
+//! stacks go back to one bounded, process-wide free list, so spawning a
+//! continuation costs no system call in steady state.
 
 use std::panic::{self, AssertUnwindSafe};
 
-/// Whether this target has a stack-switching implementation. When false the
-/// engine silently downgrades `HandoffMode::Continuation` to the OS-thread
-/// baton, so the programming model and determinism are preserved everywhere.
-/// `--cfg dsm_force_no_coro` forces the fallback even where the asm path
-/// exists, so CI can exercise the non-x86-64 downgrade on x86-64 hosts.
-pub(crate) const SUPPORTED: bool = cfg!(all(target_arch = "x86_64", not(dsm_force_no_coro)));
+use parking_lot::Mutex;
+
+/// Whether this target has a stack-switching implementation: the x86-64
+/// switch plus the Linux guard-paged stack. When false the engine silently
+/// downgrades `HandoffMode::Continuation` to the OS-thread baton, so the
+/// programming model and determinism are preserved everywhere.
+/// `--cfg dsm_force_no_coro` forces the fallback even where both exist, so
+/// CI can exercise the downgrade on x86-64 Linux hosts.
+pub(crate) const SUPPORTED: bool = cfg!(all(
+    target_arch = "x86_64",
+    target_os = "linux",
+    not(dsm_force_no_coro)
+));
 
 /// Default private stack size of one continuation. Committed lazily by the
-/// OS (the buffer is allocated but never written ahead of use), so the cost
-/// of an oversized default is address space, not memory. Deeply recursive
-/// workloads should either raise this via `SpawnOptions::stack_bytes` or
-/// fall back to the OS-thread baton, which has a guard page.
+/// kernel, so the cost of an oversized default is address space, not
+/// memory. Recursion deeper than this reaches the guard page and kills the
+/// process with SIGSEGV; raise it per thread with
+/// `SpawnOptions::stack_bytes`.
 pub(crate) const DEFAULT_STACK_BYTES: usize = 1 << 20;
 
-/// Magic word written at the low end of the stack; checked after every
-/// slice. Heap stacks have no guard page, so this is the (best-effort)
-/// overflow tripwire.
+/// Smallest private stack handed out, whatever the caller asks for.
+const MIN_STACK_BYTES: usize = 64 * 1024;
+
+/// Size of the `PROT_NONE` guard page below every stack (the x86-64 page).
+const GUARD_BYTES: usize = 4096;
+
+/// Most finished stacks the process-wide free list keeps; beyond this a
+/// finished stack is unmapped.
+const STACK_POOL_CAP: usize = 64;
+
+/// Magic word written at the low end of the usable stack, just above the
+/// guard page; checked after every slice. The guard page catches an
+/// overflow as it happens; the canary is a cheap second check that also
+/// trips when a slice wrote the stack's last word without reaching the
+/// guard.
 const CANARY: u64 = 0xDEAD_57AC_C0DE_F00D;
+
+/// One stack mapping: its base (the guard page) and total length.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Mapping {
+    base: usize,
+    len: usize,
+}
+
+/// The process-wide free list of finished stacks, at most
+/// [`STACK_POOL_CAP`] long. A leaf lock: nothing is locked while it is held.
+static POOL: Mutex<Vec<Mapping>> = Mutex::new(Vec::new());
+
+/// A continuation's private stack: an anonymous mapping whose lowest
+/// [`GUARD_BYTES`] are `PROT_NONE`. Taken from the process-wide free list
+/// when one there is big enough, else freshly mapped; dropping it returns
+/// it to the free list, or unmaps it when the list is full.
+pub(crate) struct Stack {
+    map: Mapping,
+}
+
+impl Stack {
+    /// A stack with at least `bytes` usable bytes above its guard page.
+    pub fn take(bytes: usize) -> Stack {
+        let len = bytes
+            .max(MIN_STACK_BYTES)
+            .checked_next_multiple_of(GUARD_BYTES)
+            .and_then(|usable| usable.checked_add(GUARD_BYTES))
+            .expect("continuation stack size overflows the address space");
+        let recycled = {
+            let mut pool = POOL.lock();
+            pool.iter()
+                .position(|m| m.len >= len)
+                .map(|i| pool.swap_remove(i))
+        };
+        Stack {
+            map: recycled.unwrap_or_else(|| sys::map_guarded(len)),
+        }
+    }
+
+    /// Lowest usable address (just above the guard page).
+    fn low(&self) -> usize {
+        self.map.base + GUARD_BYTES
+    }
+
+    /// One past the highest usable address; page-aligned.
+    fn top(&self) -> usize {
+        self.map.base + self.map.len
+    }
+}
+
+impl Drop for Stack {
+    fn drop(&mut self) {
+        let mut pool = POOL.lock();
+        if pool.len() < STACK_POOL_CAP {
+            pool.push(self.map);
+        } else {
+            drop(pool);
+            sys::unmap(self.map);
+        }
+    }
+}
+
+#[cfg(all(target_arch = "x86_64", target_os = "linux", not(dsm_force_no_coro)))]
+mod sys {
+    //! The three memory-mapping calls a guarded stack needs, declared here
+    //! against the C library (x86-64 Linux constants and `off_t`).
+    use std::ffi::{c_int, c_void};
+
+    use super::{Mapping, GUARD_BYTES};
+
+    const PROT_NONE: c_int = 0;
+    const PROT_READ: c_int = 1;
+    const PROT_WRITE: c_int = 2;
+    const MAP_PRIVATE: c_int = 0x02;
+    const MAP_ANONYMOUS: c_int = 0x20;
+    const MAP_NORESERVE: c_int = 0x4000;
+    const MAP_STACK: c_int = 0x2_0000;
+    const MAP_FAILED: *mut c_void = !0 as *mut c_void;
+
+    extern "C" {
+        fn mmap(
+            addr: *mut c_void,
+            len: usize,
+            prot: c_int,
+            flags: c_int,
+            fd: c_int,
+            offset: i64,
+        ) -> *mut c_void;
+        fn mprotect(addr: *mut c_void, len: usize, prot: c_int) -> c_int;
+        fn munmap(addr: *mut c_void, len: usize) -> c_int;
+    }
+
+    /// Map `len` bytes of lazily committed read-write memory and turn its
+    /// lowest page into the guard.
+    pub(super) fn map_guarded(len: usize) -> Mapping {
+        // SAFETY: an anonymous private mapping at an address the kernel
+        // chooses aliases no memory the program already uses; every argument
+        // is a plain value.
+        let base = unsafe {
+            mmap(
+                std::ptr::null_mut(),
+                len,
+                PROT_READ | PROT_WRITE,
+                MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE | MAP_STACK,
+                -1,
+                0,
+            )
+        };
+        assert!(
+            base != MAP_FAILED,
+            "mapping a {len}-byte continuation stack failed: {}",
+            std::io::Error::last_os_error()
+        );
+        // SAFETY: `base..base + GUARD_BYTES` is the first page of the mapping
+        // just created; nothing references it yet.
+        let rc = unsafe { mprotect(base, GUARD_BYTES, PROT_NONE) };
+        assert_eq!(
+            rc,
+            0,
+            "protecting a continuation stack's guard page failed: {}",
+            std::io::Error::last_os_error()
+        );
+        Mapping {
+            base: base as usize,
+            len,
+        }
+    }
+
+    /// Unmap a stack that no coroutine runs on any more. Called from
+    /// `Drop`, so a failure (which would only leak address space) is
+    /// ignored rather than raised.
+    pub(super) fn unmap(map: Mapping) {
+        // SAFETY: `map` is exactly one mapping made by `map_guarded`, owned
+        // by a `Stack` being dropped and not in the free list, so no live
+        // reference points into it.
+        let _ = unsafe { munmap(map.base as *mut c_void, map.len) };
+    }
+}
+
+#[cfg(not(all(target_arch = "x86_64", target_os = "linux", not(dsm_force_no_coro))))]
+mod sys {
+    //! Stub for targets without guarded stacks: never reached, because
+    //! `SUPPORTED == false` downgrades every continuation spawn to the
+    //! OS-thread baton before a `Stack` is taken.
+    use super::Mapping;
+
+    pub(super) fn map_guarded(_len: usize) -> Mapping {
+        unreachable!("continuation stacks are not supported on this target");
+    }
+
+    pub(super) fn unmap(_map: Mapping) {
+        unreachable!("continuation stacks are not supported on this target");
+    }
+}
 
 #[cfg(target_arch = "x86_64")]
 mod arch {
@@ -155,12 +339,8 @@ mod arch {
 /// happens on the scheduler thread (exactly one resumer at a time, never
 /// concurrent with the coroutine itself).
 pub(crate) struct Coro {
-    /// Backing memory of the private stack. Allocated with uninitialized
-    /// content on purpose: pages are committed only as the coroutine
-    /// actually grows into them.
-    stack: Vec<u8>,
-    /// 16-byte-aligned top-of-stack derived from `stack`.
-    top: usize,
+    /// The private stack; back to the free list when the `Coro` drops.
+    stack: Stack,
     /// Saved `rsp` of the suspended coroutine (valid while `started` and
     /// not `done`, or before the first resume as the bootstrap frame).
     coro_sp: usize,
@@ -182,14 +362,14 @@ pub(crate) struct Coro {
 // started coroutines on that same thread after the loop stopped. An engine
 // that never ran drops its coroutines unstarted, running no frames. So no
 // frame on the private stack ever executes on two OS threads, and moving
-// the not-yet-started body is sound because it is `Send`; the raw stack is
-// private memory.
+// the not-yet-started body is sound because it is `Send`; the stack mapping
+// is private memory.
 unsafe impl Send for Coro {}
 
 impl Coro {
-    /// Create a suspended coroutine that will run `body` on `stack` (a
-    /// recycled buffer, or a fresh one of `stack_bytes`) when first resumed.
-    pub fn new(body: Box<dyn FnOnce() + Send>, stack_bytes: usize, stack: Option<Vec<u8>>) -> Self {
+    /// Create a suspended coroutine that will run `body` on a private stack
+    /// of at least `stack_bytes` when first resumed.
+    pub fn new(body: Box<dyn FnOnce() + Send>, stack_bytes: usize) -> Self {
         // Compile-time constant per target; the engine checks `SUPPORTED`
         // before choosing this backing, so reaching here unsupported is a
         // bug.
@@ -200,35 +380,22 @@ impl Coro {
                 "continuation hand-off unsupported on this target"
             );
         }
-        let mut stack = match stack {
-            Some(s) if s.capacity() >= stack_bytes => s,
-            _ => Vec::with_capacity(stack_bytes.max(64 * 1024)),
-        };
-        let base = stack.as_mut_ptr() as usize;
-        let top = (base + stack.capacity()) & !15;
-        // Plant the overflow canary at the lowest word (aligned up).
-        let canary_at = ((base + 7) & !7) as *mut u64;
-        // SAFETY: `canary_at` is the 8-aligned low end of the freshly
-        // allocated stack buffer (capacity >= 64 KiB), in-bounds and
-        // exclusively owned here.
-        unsafe { canary_at.write(CANARY) };
+        let stack = Stack::take(stack_bytes);
+        // SAFETY: `stack.low()` is the page-aligned low end of the stack's
+        // read-write region, exclusively owned here (a recycled stack has
+        // no coroutine left on it).
+        unsafe { (stack.low() as *mut u64).write(CANARY) };
         // The bootstrap frame needs the Coro's *final* address (it captures
         // a self-pointer), so it is seeded on first resume, after the owner
         // has stored the Coro at its permanent location.
         Coro {
             stack,
-            top,
             coro_sp: 0,
             sched_sp: 0,
             body: Some(body),
             started: false,
             done: false,
         }
-    }
-
-    /// The canary word's address (low end of the stack).
-    fn canary_at(&self) -> *const u64 {
-        ((self.stack.as_ptr() as usize + 7) & !7) as *const u64
     }
 
     /// Resume the coroutine until its next yield (or completion). Returns
@@ -247,10 +414,10 @@ impl Coro {
         // it in place for its whole life).
         if !self.started {
             self.started = true;
-            // SAFETY: `self.top` is the aligned top of this Coro's own
-            // stack buffer, and `self` sits at its permanent address (the
-            // slot never moves it between resumes).
-            self.coro_sp = unsafe { arch::bootstrap(self.top, self as *mut Coro) };
+            // SAFETY: `self.stack.top()` is the page-aligned top of this
+            // Coro's own stack, and `self` sits at its permanent address
+            // (the slot never moves it between resumes).
+            self.coro_sp = unsafe { arch::bootstrap(self.stack.top(), self as *mut Coro) };
         }
         // SAFETY: `self.coro_sp` was produced by `bootstrap` (first resume)
         // or by the coroutine's own `raw_switch` save (later resumes); the
@@ -260,12 +427,12 @@ impl Coro {
         // Back on the scheduler stack. The coroutine either parked (saved
         // its sp via yield_to_scheduler) or completed (set `done`).
         assert!(
-            // SAFETY: `canary_at` points at the low word of the live stack
-            // buffer, written once in `new`; reading it races with nothing
-            // (the coroutine just suspended on this very OS thread).
-            unsafe { self.canary_at().read() } == CANARY,
-            "simulated-thread stack overflow: the continuation overran its private \
-             stack (raise SpawnOptions::stack_bytes or use the baton fallback)"
+            // SAFETY: the low word of the live stack's read-write region,
+            // written once in `new`; reading it races with nothing (the
+            // coroutine just suspended on this very OS thread).
+            unsafe { (self.stack.low() as *const u64).read() } == CANARY,
+            "simulated-thread stack overflow: the continuation overwrote the bottom \
+             of its private stack (raise SpawnOptions::stack_bytes)"
         );
         self.done
     }
@@ -292,22 +459,16 @@ impl Coro {
     pub fn is_started(&self) -> bool {
         self.started
     }
-
-    /// Reclaim the stack buffer of a completed (or never-started)
-    /// coroutine for reuse by a future spawn.
-    pub fn take_stack(mut self) -> Vec<u8> {
-        assert!(self.done || !self.started, "cannot reclaim a live stack");
-        std::mem::take(&mut self.stack)
-    }
 }
 
 impl Drop for Coro {
     fn drop(&mut self) {
         // A started-but-unfinished coroutine still has live frames (and
         // their destructors) parked on its stack. Dropping it would leak
-        // them silently; the engine's teardown path is responsible for
-        // resuming it under the shutdown flag first. Make the violation
-        // loud in tests without aborting production teardown.
+        // them silently (and recycle the stack under them); the engine's
+        // teardown path is responsible for resuming it under the shutdown
+        // flag first. Make the violation loud in tests without aborting
+        // production teardown.
         debug_assert!(
             !self.started || self.done,
             "dropped a suspended continuation without unwinding it"
@@ -335,7 +496,12 @@ pub(crate) extern "sysv64" fn coro_entry(coro: *mut Coro) -> ! {
     std::process::abort();
 }
 
-#[cfg(all(test, target_arch = "x86_64", not(dsm_force_no_coro)))]
+#[cfg(all(
+    test,
+    target_arch = "x86_64",
+    target_os = "linux",
+    not(dsm_force_no_coro)
+))]
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
@@ -361,7 +527,7 @@ mod tests {
                 unsafe { (*p).yield_to_scheduler() };
             }
         });
-        let mut coro = Box::new(Coro::new(body, 256 * 1024, None));
+        let mut coro = Box::new(Coro::new(body, 256 * 1024));
         shared.store(&mut *coro, Ordering::SeqCst);
         let mut resumes = 0;
         // SAFETY: single-threaded test — this loop is the only resumer, and
@@ -373,7 +539,6 @@ mod tests {
         assert_eq!(hits.load(Ordering::SeqCst), 5);
         assert_eq!(resumes, 5);
         assert!(coro.is_done());
-        let _stack = coro.take_stack();
     }
 
     #[test]
@@ -382,7 +547,7 @@ mod tests {
             let caught = panic::catch_unwind(|| panic!("inner"));
             assert!(caught.is_err());
         });
-        let mut coro = Box::new(Coro::new(body, 256 * 1024, None));
+        let mut coro = Box::new(Coro::new(body, 256 * 1024));
         // SAFETY: sole resumer of a fresh suspended coroutine.
         assert!(unsafe { coro.resume() });
     }
@@ -403,10 +568,137 @@ mod tests {
                 unreachable!("body must not run");
             }),
             128 * 1024,
-            None,
         ));
         assert!(!coro.is_started());
         drop(coro);
         assert_eq!(drops.load(Ordering::SeqCst), 1, "captured state must drop");
+    }
+
+    /// Set in a re-exec of this test binary to the name of the test whose
+    /// child half should run.
+    const CHILD_ENV: &str = "DSM_CORO_TEST_CHILD";
+
+    /// Whether this process is the child half of `test`.
+    fn is_child(test: &str) -> bool {
+        std::env::var(CHILD_ENV).as_deref() == Ok(test)
+    }
+
+    /// Re-run this test binary on `test` alone (in this module), with
+    /// [`CHILD_ENV`] naming it; return how the child exited and its output.
+    fn run_child(test: &str) -> (std::process::ExitStatus, String) {
+        let module = module_path!().split_once("::").expect("crate-qualified").1;
+        let out = std::process::Command::new(std::env::current_exe().expect("test binary path"))
+            .args([&format!("{module}::{test}"), "--exact", "--test-threads=1"])
+            .env(CHILD_ENV, test)
+            .output()
+            .expect("re-exec the test binary");
+        let text = String::from_utf8_lossy(&out.stdout) + String::from_utf8_lossy(&out.stderr);
+        (out.status, text.into_owned())
+    }
+
+    /// The permission string (`rw-p`, `---p`, ...) of the mapping holding
+    /// `addr`, from `/proc/self/maps`.
+    fn perms_at(addr: usize) -> Option<String> {
+        let maps = std::fs::read_to_string("/proc/self/maps").expect("read /proc/self/maps");
+        maps.lines().find_map(|line| {
+            let (range, rest) = line.split_once(' ')?;
+            let (lo, hi) = range.split_once('-')?;
+            let lo = usize::from_str_radix(lo, 16).ok()?;
+            let hi = usize::from_str_radix(hi, 16).ok()?;
+            (lo <= addr && addr < hi).then(|| rest.get(..4).unwrap_or(rest).to_string())
+        })
+    }
+
+    #[test]
+    fn stack_has_a_guard_page_below_its_usable_region() {
+        let stack = Stack::take(MIN_STACK_BYTES);
+        assert_eq!(stack.low() - stack.map.base, GUARD_BYTES);
+        assert_eq!(perms_at(stack.map.base).as_deref(), Some("---p"));
+        assert_eq!(perms_at(stack.low() - 1).as_deref(), Some("---p"));
+        assert_eq!(perms_at(stack.low()).as_deref(), Some("rw-p"));
+        assert_eq!(perms_at(stack.top() - 1).as_deref(), Some("rw-p"));
+    }
+
+    /// A continuation that recurses without bound on a 64 KiB stack runs
+    /// into the guard page: the process dies by SIGSEGV rather than
+    /// overwriting the memory below the stack.
+    #[test]
+    fn unbounded_recursion_dies_at_the_guard_page() {
+        const TEST: &str = "unbounded_recursion_dies_at_the_guard_page";
+        if is_child(TEST) {
+            fn recurse(depth: u64) -> u64 {
+                let pad = std::hint::black_box([depth; 32]);
+                if depth == u64::MAX {
+                    return pad[0];
+                }
+                recurse(depth + 1).wrapping_add(pad[31])
+            }
+            let body = Box::new(|| {
+                std::hint::black_box(recurse(0));
+            });
+            let mut coro = Box::new(Coro::new(body, MIN_STACK_BYTES));
+            // SAFETY: sole resumer of a fresh suspended coroutine.
+            unsafe { coro.resume() };
+            // Reached only if the overflow did not fault.
+            std::process::exit(0);
+        }
+        use std::os::unix::process::ExitStatusExt;
+        let (status, output) = run_child(TEST);
+        assert_eq!(
+            status.signal(),
+            Some(11),
+            "the overflowing child must be killed by SIGSEGV, got {status:?}:\n{output}"
+        );
+    }
+
+    /// A stack freed by one engine carries the next engine's thread, and the
+    /// free list never grows past its cap. Runs in a child process so no
+    /// concurrent test touches the process-wide free list.
+    #[test]
+    fn finished_stacks_are_reused_and_the_free_list_is_capped() {
+        const TEST: &str = "finished_stacks_are_reused_and_the_free_list_is_capped";
+        if !is_child(TEST) {
+            let (status, output) = run_child(TEST);
+            assert!(
+                status.success() && output.contains("1 passed"),
+                "child half failed: {status:?}:\n{output}"
+            );
+            return;
+        }
+        // Run one engine with one thread; return the address of a local on
+        // that thread's stack.
+        let local_address = || {
+            let mut engine = crate::Engine::new();
+            let at = Arc::new(AtomicUsize::new(0));
+            let a = at.clone();
+            engine.spawn("probe", move |_| {
+                let local = 0u8;
+                a.store(
+                    std::hint::black_box(&local) as *const u8 as usize,
+                    Ordering::SeqCst,
+                );
+            });
+            engine.run().expect("probe run");
+            at.load(Ordering::SeqCst)
+        };
+        assert!(POOL.lock().is_empty());
+        let first = local_address();
+        let pooled = POOL.lock().clone();
+        assert_eq!(
+            pooled.len(),
+            1,
+            "the finished stack went back to the free list"
+        );
+        assert!(pooled[0].base < first && first < pooled[0].base + pooled[0].len);
+        let second = local_address();
+        assert_eq!(second, first, "the second engine ran on the recycled stack");
+        assert_eq!(*POOL.lock(), pooled);
+
+        let stacks: Vec<Stack> = (0..STACK_POOL_CAP + 8)
+            .map(|_| Stack::take(MIN_STACK_BYTES))
+            .collect();
+        assert!(POOL.lock().is_empty());
+        drop(stacks);
+        assert_eq!(POOL.lock().len(), STACK_POOL_CAP);
     }
 }

@@ -13,12 +13,12 @@
 //! ([`HandoffMode`]):
 //!
 //! * a **continuation** (the default) executes on the scheduler thread
-//!   itself, on a private stack, the way PM2's Marcel multiplexes user-level
-//!   threads onto one kernel thread;
+//!   itself, on a private guard-paged stack, the way PM2's Marcel
+//!   multiplexes user-level threads onto one kernel thread;
 //! * the **baton** backs the simulated thread with a dedicated OS thread and
-//!   passes control with a phase store plus an `unpark` on each side. It
-//!   serves deep-recursion bodies (guard-paged OS stacks) and targets
-//!   without a stack switch.
+//!   passes control with a phase store plus an `unpark` on each side. It is
+//!   the substrate of targets without continuations and the conformance
+//!   baseline.
 //!
 //! Every event carries a *shard key* (upper layers use the cluster node id).
 //! Keys do not affect the canonical order; they name the per-node groups a
@@ -39,10 +39,6 @@ use crate::error::SimError;
 use crate::handle::SimHandle;
 use crate::thread::{ThreadId, ThreadSlot};
 use crate::time::{SimDuration, SimTime};
-
-/// Cap on the number of recycled continuation stacks kept around. Beyond
-/// this, finished stacks are simply freed.
-const STACK_POOL_CAP: usize = 32;
 
 /// Marker panic payload used to unwind simulated threads during teardown.
 pub(crate) struct ShutdownUnwind;
@@ -165,10 +161,9 @@ pub enum HandoffMode {
     Continuation,
     /// The futex-style baton: each simulated thread is backed by a
     /// dedicated OS thread; grant/park are one atomic store plus one
-    /// `unpark` per side. Kept as the per-thread fallback for workloads a
-    /// fixed-size private stack cannot carry (deep recursion), as the
-    /// substrate of targets without a stack switch, and as a conformance
-    /// baseline.
+    /// `unpark` per side. Kept as the fallback substrate of targets without
+    /// continuations (anything but x86-64 Linux) and as the conformance
+    /// baseline the continuation runs are checked against.
     Baton,
 }
 
@@ -217,15 +212,14 @@ impl SimTuning {
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SpawnOptions {
     /// Force a hand-off mode for this thread regardless of the engine-wide
-    /// [`SimTuning::handoff`]. The designed use is
-    /// `Some(HandoffMode::Baton)`: an escape hatch for bodies a fixed-size
-    /// continuation stack cannot carry (deep recursion), which then run on
-    /// a dedicated OS thread with a guard page while the rest of the
-    /// simulation stays on continuations.
+    /// [`SimTuning::handoff`]: `Some(HandoffMode::Baton)` runs this one
+    /// thread on the conformance baseline, a dedicated OS thread, while the
+    /// rest of the simulation stays on continuations.
     pub handoff: Option<HandoffMode>,
     /// Private stack size for this thread: the continuation's coroutine
-    /// stack (default 1 MiB, committed lazily) or the backing OS thread's
-    /// stack when combined with an OS-thread hand-off.
+    /// stack (default 1 MiB, committed lazily, with a guard page below it)
+    /// or the backing OS thread's stack when combined with the baton.
+    /// Raise it for bodies that recurse deeper than the default carries.
     pub stack_bytes: Option<usize>,
 }
 
@@ -439,8 +433,6 @@ pub(crate) struct Shared {
     context_switches: AtomicU64,
     events_processed: AtomicU64,
     threads_spawned: AtomicU64,
-    /// Recycled private stacks of finished continuations.
-    stack_pool: Mutex<Vec<Vec<u8>>>,
     /// Count of parks per [`BlockReason`] (indexed by discriminant) — the
     /// data behind [`Engine::block_profile`].
     block_counts: [AtomicU64; BLOCK_REASONS.len()],
@@ -591,8 +583,7 @@ impl Shared {
                     set_instant_ctx(None);
                 });
                 let stack_bytes = opts.stack_bytes.unwrap_or(DEFAULT_STACK_BYTES);
-                let recycled = self.stack_pool.lock().pop();
-                slot.init_continuation(Coro::new(body, stack_bytes, recycled));
+                slot.init_continuation(Coro::new(body, stack_bytes));
                 None
             }
             HandoffMode::Baton => {
@@ -711,7 +702,6 @@ impl Shared {
     /// the process's thread quota.
     fn reap_finished(&self) {
         let mut handles = Vec::new();
-        let mut stacks = Vec::new();
         {
             let mut threads = self.threads.lock();
             let finished: Vec<u64> = threads
@@ -721,20 +711,7 @@ impl Shared {
                 .collect();
             for tid in finished {
                 if let Some(entry) = threads.remove(&tid) {
-                    // Recycle the private stack of a finished continuation
-                    // (also breaks the body's Arc cycle back to this Shared).
-                    if let Some(stack) = entry.slot.reclaim_stack() {
-                        stacks.push(stack);
-                    }
                     handles.push(entry.join);
-                }
-            }
-        }
-        if !stacks.is_empty() {
-            let mut pool = self.stack_pool.lock();
-            for stack in stacks {
-                if pool.len() < STACK_POOL_CAP {
-                    pool.push(stack);
                 }
             }
         }
@@ -903,7 +880,6 @@ impl Engine {
                 context_switches: AtomicU64::new(0),
                 events_processed: AtomicU64::new(0),
                 threads_spawned: AtomicU64::new(0),
-                stack_pool: Mutex::new(Vec::new()),
                 block_counts: std::array::from_fn(|_| AtomicU64::new(0)),
                 controller: Mutex::new(None),
                 controlled: AtomicBool::new(false),
@@ -935,8 +911,7 @@ impl Engine {
     }
 
     /// Spawn a simulated thread with per-thread [`SpawnOptions`]: force a
-    /// hand-off mode (the baton escape hatch for deep recursion) or size the
-    /// continuation's private stack.
+    /// hand-off mode or size the thread's private stack.
     pub fn spawn_with<F>(&self, name: impl Into<String>, opts: SpawnOptions, f: F) -> ThreadId
     where
         F: FnOnce(&mut SimHandle) + Send + 'static,
@@ -1147,7 +1122,6 @@ impl Engine {
             // parked on their private stacks must run) and drop never-started
             // bodies — both hold an Arc cycle back to `Shared`.
             slot.teardown_continuation();
-            let _ = slot.reclaim_stack();
         }
         for (_, join) in entries {
             if let Some(handle) = join {

@@ -158,8 +158,8 @@ impl SimHandle {
     }
 
     /// Spawn a new simulated thread with per-thread [`SpawnOptions`] (force
-    /// the OS-thread baton for deep recursion, size the continuation stack),
-    /// runnable at this thread's current local time, on this thread's shard.
+    /// a hand-off mode, size the private stack), runnable at this thread's
+    /// current local time, on this thread's shard.
     pub fn spawn_with<F>(&mut self, name: impl Into<String>, opts: SpawnOptions, f: F) -> ThreadId
     where
         F: FnOnce(&mut SimHandle) + Send + 'static,

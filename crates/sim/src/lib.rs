@@ -8,11 +8,13 @@
 //! to exactly one simulated thread at a time. By default a simulated thread
 //! is a *continuation*: a stackful coroutine whose slices execute on the
 //! scheduler thread itself, mirroring how Marcel multiplexes user-level
-//! threads onto a kernel thread. Threads that cannot run as continuations
-//! (deep recursion, very large stacks) opt onto a dedicated OS thread with a
-//! futex-style baton hand-off ([`SpawnOptions::baton`]), which is also the
-//! substrate of targets without a stack switch; [`SimTuning`] selects the
-//! default for a whole engine. Both substrates produce the same fully
+//! threads onto a kernel thread. Each continuation has its own guard-paged
+//! stack (1 MiB by default, sized per thread with
+//! [`SpawnOptions::stack_bytes`]). On targets without continuations every
+//! thread runs on a dedicated OS thread with a futex-style baton hand-off
+//! ([`SpawnOptions::baton`]), which is also the conformance baseline;
+//! [`SimTuning`] selects the default for a whole engine. Both substrates
+//! produce the same fully
 //! deterministic execution in *virtual time*, which is what the benchmark
 //! harness measures.
 //!

@@ -19,8 +19,8 @@
 //!   The scheduler grants with one phase store plus one `unpark`; the thread
 //!   parks with one phase store plus one `unpark` of the scheduler. Each
 //!   side spins briefly ([`baton_spin`]) before parking. Kept as the
-//!   per-thread fallback for bodies a fixed-size private stack cannot carry
-//!   (deep recursion) and for targets without a stack switch.
+//!   substrate of targets without continuations and as the conformance
+//!   baseline.
 
 use std::cell::UnsafeCell;
 use std::fmt;
@@ -151,13 +151,14 @@ pub(crate) struct ThreadSlot {
 
 // SAFETY: every field but `coro` is Sync by construction. The `UnsafeCell`
 // around the coroutine is only dereferenced on the OS thread running
-// `Engine::run` — by a grant, by the coroutine body itself while that grant
-// is blocked in `Coro::resume`, and by reaping and teardown between or after
-// events — plus once by the spawn path before the slot is shared, and by
-// the teardown of an engine that never ran (no coroutine started). The
-// scheduler is the only granter and runs one event at a time, so these
-// accesses never overlap. A slot may be created on another OS thread (setup
-// code spawns before `run`), which is why the slot must be `Send`.
+// `Engine::run` — by a grant (which also drops a completed coroutine), by
+// the coroutine body itself while that grant is blocked in `Coro::resume`,
+// and by teardown after the events — plus once by the spawn path before the
+// slot is shared, and by the teardown of an engine that never ran (no
+// coroutine started). The scheduler is the only granter and runs one event
+// at a time, so these accesses never overlap. A slot may be created on
+// another OS thread (setup code spawns before `run`), which is why the slot
+// must be `Send`.
 unsafe impl Send for ThreadSlot {}
 // SAFETY: see the Send justification above — every access to the one
 // non-Sync field (`coro`) happens on the scheduler thread, one at a time.
@@ -291,10 +292,18 @@ impl ThreadSlot {
             // SAFETY: the scheduler thread is the only granter and runs one
             // event at a time, so this access is exclusive until the resume
             // returns.
-            let coro = unsafe { (*self.coro.get()).as_mut().expect("continuation present") };
+            let cell = unsafe { &mut *self.coro.get() };
+            let coro = cell.as_mut().expect("continuation present");
             // SAFETY: same exclusivity; the slot was Parked, so the
             // coroutine is suspended and resumable.
-            unsafe { coro.resume() }
+            let done = unsafe { coro.resume() };
+            if done {
+                // No frame is left on the private stack: drop the coroutine
+                // now, so its stack is back on the free list for the next
+                // spawn instead of waiting for the finished slot's reaping.
+                *cell = None;
+            }
+            done
         };
         if done {
             self.record_outcome(SliceOutcome::Done);
@@ -332,26 +341,6 @@ impl ThreadSlot {
         }
         *cell = None;
         self.phase.store(Phase::Finished as u32, Ordering::SeqCst);
-    }
-
-    /// Reclaim the stack buffer of a finished (or never-started)
-    /// continuation for reuse by a future spawn; drops the coroutine.
-    /// Returns `None` for baton slots and continuations still live. Only
-    /// called with exclusive access (reaping between events, or teardown).
-    pub fn reclaim_stack(&self) -> Option<Vec<u8>> {
-        if self.mode != HandoffMode::Continuation {
-            return None;
-        }
-        // SAFETY: per this function's contract, callers hold exclusive
-        // access (reaping between events on the scheduler, or teardown).
-        let cell = unsafe { &mut *self.coro.get() };
-        let reclaimable = cell
-            .as_ref()
-            .is_some_and(|c| c.is_done() || !c.is_started());
-        if !reclaimable {
-            return None;
-        }
-        Some(cell.take().expect("checked above").take_stack())
     }
 
     // ----- baton backing -----------------------------------------------------

@@ -224,10 +224,9 @@ fn panic_inside_continuation_slice_is_recorded_not_propagated() {
     }
 }
 
-/// Deep call stacks overflow a fixed-size continuation stack; the
-/// [`SpawnOptions`] escape hatches — a bigger private stack, or the
-/// guard-paged OS-thread baton — must both carry a recursion the default
-/// continuation stack could not.
+/// Deep call stacks overflow the default continuation stack; a bigger
+/// private stack ([`SpawnOptions::stack_bytes`]) must carry such a
+/// recursion on either substrate, continuation or OS-thread baton.
 #[test]
 fn deep_recursion_runs_on_baton_or_big_stack() {
     fn burn(depth: usize) -> u64 {

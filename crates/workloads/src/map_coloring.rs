@@ -19,7 +19,7 @@ use dsmpm2_hyperion::{HyperionHeap, ObjectRef};
 use dsmpm2_madeleine::NetworkModel;
 use dsmpm2_pm2::Engine;
 use dsmpm2_protocols::register_builtin_protocols;
-use dsmpm2_sim::{SimDuration, SimTime, SpawnOptions};
+use dsmpm2_sim::{SimDuration, SimTime, SimTuning};
 
 /// Names of the 29 eastern-most US states used by the instance.
 pub const STATES: [&str; 29] = [
@@ -158,6 +158,8 @@ pub struct ColoringConfig {
     pub compute_per_node_us: f64,
     /// Number of states considered (≤ 29); smaller values for quick tests.
     pub num_states: usize,
+    /// Simulation-engine tuning knobs (scheduler hand-off substrate).
+    pub sim: SimTuning,
 }
 
 impl ColoringConfig {
@@ -169,6 +171,7 @@ impl ColoringConfig {
             network: dsmpm2_madeleine::profiles::sisci_sci(),
             compute_per_node_us: 1.0,
             num_states: STATES.len(),
+            sim: SimTuning::default(),
         }
     }
 
@@ -180,6 +183,7 @@ impl ColoringConfig {
             network: dsmpm2_madeleine::profiles::sisci_sci(),
             compute_per_node_us: 1.0,
             num_states,
+            sim: SimTuning::default(),
         }
     }
 }
@@ -203,11 +207,10 @@ pub struct ColoringResult {
 /// `"java_pf"`).
 pub fn run_map_coloring(config: &ColoringConfig, protocol_name: &str) -> ColoringResult {
     assert!(config.num_states >= 2 && config.num_states <= STATES.len());
-    let engine = Engine::new();
-    let rt = DsmRuntime::new(
-        &engine,
-        Pm2Config::new(config.nodes, config.network.clone()),
-    );
+    let cluster_config =
+        Pm2Config::new(config.nodes, config.network.clone()).with_sim_tuning(config.sim);
+    let engine = Engine::with_config(cluster_config.engine_config());
+    let rt = DsmRuntime::new(&engine, cluster_config);
     let protos = register_builtin_protocols(&rt);
     let protocol = protos
         .by_name(protocol_name)
@@ -280,143 +283,140 @@ pub fn run_map_coloring(config: &ColoringConfig, protocol_name: &str) -> Colorin
         let finish_times = finish_times.clone();
         let best_costs = best_costs.clone();
         let config = config.clone();
-        // The colouring search recurses one frame per state: stack depth
-        // scales with the map, so pin the workers to the OS-thread baton —
-        // the per-thread fallback off the fixed-size continuation stack.
-        rt.spawn_dsm_thread_with(
-            node,
-            format!("coloring-{t}"),
-            SpawnOptions::baton(),
-            move |ctx| {
-                ctx.dsm_barrier(ready);
+        // The search recurses one frame per coloured state, so its depth is
+        // bounded by `num_states` (at most 29). Its deepest stack, DSM fault
+        // path included, measured about 9 KiB in release and 24 KiB in a
+        // debug build at 29 states: the default 1 MiB continuation stack
+        // covers it many times over, and an overrun would fault on the
+        // stack's guard page.
+        rt.spawn_dsm_thread(node, format!("coloring-{t}"), move |ctx| {
+            ctx.dsm_barrier(ready);
+            let n = config.num_states;
+            let mut colors = vec![usize::MAX; n];
+            let mut local_best = u64::MAX / 2;
+            let mut pending = 0u64;
+
+            // Recursive search: one frame per coloured state.
+            #[allow(clippy::too_many_arguments)]
+            fn dfs(
+                ctx: &mut dsmpm2_core::DsmThreadCtx<'_, '_>,
+                heap: &HyperionHeap,
+                state_objects: &[ObjectRef],
+                monitor: dsmpm2_hyperion::Monitor,
+                best_obj: ObjectRef,
+                colors: &mut Vec<usize>,
+                state: usize,
+                cost: u64,
+                local_best: &mut u64,
+                pending: &mut u64,
+                config: &ColoringConfig,
+            ) {
                 let n = config.num_states;
-                let mut colors = vec![usize::MAX; n];
-                let mut local_best = u64::MAX / 2;
-                let mut pending = 0u64;
-
-                // Recursive search expressed iteratively over an explicit stack to
-                // keep the borrow of `ctx` simple.
-                #[allow(clippy::too_many_arguments)]
-                fn dfs(
-                    ctx: &mut dsmpm2_core::DsmThreadCtx<'_, '_>,
-                    heap: &HyperionHeap,
-                    state_objects: &[ObjectRef],
-                    monitor: dsmpm2_hyperion::Monitor,
-                    best_obj: ObjectRef,
-                    colors: &mut Vec<usize>,
-                    state: usize,
-                    cost: u64,
-                    local_best: &mut u64,
-                    pending: &mut u64,
-                    config: &ColoringConfig,
-                ) {
-                    let n = config.num_states;
-                    *pending += 1;
-                    if *pending >= 32 {
-                        ctx.pm2.compute_shared(SimDuration::from_micros_f64(
-                            config.compute_per_node_us * *pending as f64,
-                        ));
-                        *pending = 0;
-                    }
-                    if cost >= *local_best {
-                        return;
-                    }
-                    if state == n {
-                        // Complete colouring. Only synchronise when it improves
-                        // on our local view of the bound: monitor entries (and
-                        // the cache flushes they imply) stay rare, as in the
-                        // paper's run where "remote accesses are not very
-                        // frequent".
-                        if cost < *local_best {
-                            heap.monitor_enter(ctx, monitor);
-                            let global = heap.get(ctx, best_obj, 0);
-                            if cost < global {
-                                heap.put(ctx, best_obj, 0, cost);
-                            }
-                            *local_best = global.min(cost);
-                            heap.monitor_exit(ctx, monitor);
-                        }
-                        return;
-                    }
-                    // Read the state's neighbour list through get (object access).
-                    let obj = state_objects[state];
-                    let degree = heap.get(ctx, obj, 0) as usize;
-                    #[allow(clippy::needless_range_loop)]
-                    for c in 0..4usize {
-                        let mut conflict = false;
-                        for i in 0..degree {
-                            let nb = heap.get(ctx, obj, 1 + i) as usize;
-                            if nb < state && colors[nb] == c {
-                                conflict = true;
-                                break;
-                            }
-                        }
-                        if conflict {
-                            continue;
-                        }
-                        colors[state] = c;
-                        dfs(
-                            ctx,
-                            heap,
-                            state_objects,
-                            monitor,
-                            best_obj,
-                            colors,
-                            state + 1,
-                            cost + COLOR_COSTS[c],
-                            local_best,
-                            pending,
-                            config,
-                        );
-                        colors[state] = usize::MAX;
-                    }
+                *pending += 1;
+                if *pending >= 32 {
+                    ctx.pm2.compute_shared(SimDuration::from_micros_f64(
+                        config.compute_per_node_us * *pending as f64,
+                    ));
+                    *pending = 0;
                 }
-
-                for (c0, c1) in my_prefixes {
-                    if n < 2 {
-                        continue;
+                if cost >= *local_best {
+                    return;
+                }
+                if state == n {
+                    // Complete colouring. Only synchronise when it improves
+                    // on our local view of the bound: monitor entries (and
+                    // the cache flushes they imply) stay rare, as in the
+                    // paper's run where "remote accesses are not very
+                    // frequent".
+                    if cost < *local_best {
+                        heap.monitor_enter(ctx, monitor);
+                        let global = heap.get(ctx, best_obj, 0);
+                        if cost < global {
+                            heap.put(ctx, best_obj, 0, cost);
+                        }
+                        *local_best = global.min(cost);
+                        heap.monitor_exit(ctx, monitor);
                     }
-                    colors[0] = c0;
-                    colors[1] = c1;
-                    // Skip inconsistent prefixes (states 0 and 1 adjacent & same colour).
-                    let degree = heap.get(ctx, state_objects[1], 0) as usize;
+                    return;
+                }
+                // Read the state's neighbour list through get (object access).
+                let obj = state_objects[state];
+                let degree = heap.get(ctx, obj, 0) as usize;
+                #[allow(clippy::needless_range_loop)]
+                for c in 0..4usize {
                     let mut conflict = false;
                     for i in 0..degree {
-                        let nb = heap.get(ctx, state_objects[1], 1 + i) as usize;
-                        if nb == 0 && c0 == c1 {
+                        let nb = heap.get(ctx, obj, 1 + i) as usize;
+                        if nb < state && colors[nb] == c {
                             conflict = true;
+                            break;
                         }
                     }
-                    if !conflict {
-                        dfs(
-                            ctx,
-                            &heap,
-                            &state_objects,
-                            monitor,
-                            best_obj,
-                            &mut colors,
-                            2,
-                            COLOR_COSTS[c0] + COLOR_COSTS[c1],
-                            &mut local_best,
-                            &mut pending,
-                            &config,
-                        );
+                    if conflict {
+                        continue;
                     }
-                    colors[0] = usize::MAX;
-                    colors[1] = usize::MAX;
+                    colors[state] = c;
+                    dfs(
+                        ctx,
+                        heap,
+                        state_objects,
+                        monitor,
+                        best_obj,
+                        colors,
+                        state + 1,
+                        cost + COLOR_COSTS[c],
+                        local_best,
+                        pending,
+                        config,
+                    );
+                    colors[state] = usize::MAX;
                 }
-                if pending > 0 {
-                    ctx.pm2.compute_shared(SimDuration::from_micros_f64(
-                        config.compute_per_node_us * pending as f64,
-                    ));
+            }
+
+            for (c0, c1) in my_prefixes {
+                if n < 2 {
+                    continue;
                 }
-                ctx.dsm_barrier(ready);
-                heap.monitor_enter(ctx, monitor);
-                best_costs.lock().push(heap.get(ctx, best_obj, 0));
-                heap.monitor_exit(ctx, monitor);
-                finish_times.lock().push(ctx.pm2.now());
-            },
-        );
+                colors[0] = c0;
+                colors[1] = c1;
+                // Skip inconsistent prefixes (states 0 and 1 adjacent & same colour).
+                let degree = heap.get(ctx, state_objects[1], 0) as usize;
+                let mut conflict = false;
+                for i in 0..degree {
+                    let nb = heap.get(ctx, state_objects[1], 1 + i) as usize;
+                    if nb == 0 && c0 == c1 {
+                        conflict = true;
+                    }
+                }
+                if !conflict {
+                    dfs(
+                        ctx,
+                        &heap,
+                        &state_objects,
+                        monitor,
+                        best_obj,
+                        &mut colors,
+                        2,
+                        COLOR_COSTS[c0] + COLOR_COSTS[c1],
+                        &mut local_best,
+                        &mut pending,
+                        &config,
+                    );
+                }
+                colors[0] = usize::MAX;
+                colors[1] = usize::MAX;
+            }
+            if pending > 0 {
+                ctx.pm2.compute_shared(SimDuration::from_micros_f64(
+                    config.compute_per_node_us * pending as f64,
+                ));
+            }
+            ctx.dsm_barrier(ready);
+            heap.monitor_enter(ctx, monitor);
+            best_costs.lock().push(heap.get(ctx, best_obj, 0));
+            heap.monitor_exit(ctx, monitor);
+            finish_times.lock().push(ctx.pm2.now());
+        });
     }
 
     let mut engine = engine;

@@ -315,8 +315,10 @@ use dsm_pm2::pm2::{DsmTuning, SimTuning, TransportTuning};
 use dsm_pm2::workloads::{
     false_sharing::{run_false_sharing, FalseSharingConfig},
     jacobi::{run_jacobi, JacobiConfig},
+    map_coloring::{run_map_coloring, ColoringConfig},
     matmul::{run_matmul, MatmulConfig},
     sor::{run_sor, SorConfig},
+    tsp::{run_tsp, TspConfig},
 };
 
 /// Every protocol that runs unmodified application code (8 of the 9 shipped).
@@ -476,6 +478,33 @@ fn conformance_matrix_across_handoff_modes() {
             );
         }
     }
+
+    // The recursive branch-and-bound searches: the same answer, virtual time
+    // and search effort on either substrate.
+    for proto in ["li_hudak", "hbrc_mw"] {
+        let tsp = |sim: SimTuning| TspConfig {
+            sim,
+            ..TspConfig::small(4, 9)
+        };
+        let base = run_tsp(&tsp(continuation), proto);
+        let r = run_tsp(&tsp(baton), proto);
+        assert_eq!(
+            (r.best, r.elapsed, r.expanded),
+            (base.best, base.elapsed, base.expanded),
+            "tsp (best tour, virtual time, expanded) diverged under the baton x {proto}"
+        );
+    }
+    let coloring = |sim: SimTuning| ColoringConfig {
+        sim,
+        ..ColoringConfig::small(4, 18)
+    };
+    let base = run_map_coloring(&coloring(continuation), "java_pf");
+    let r = run_map_coloring(&coloring(baton), "java_pf");
+    assert_eq!(
+        (r.best_cost, r.elapsed, r.faults),
+        (base.best_cost, base.elapsed, base.faults),
+        "map colouring (best cost, virtual time, faults) diverged under the baton x java_pf"
+    );
 }
 
 #[test]
